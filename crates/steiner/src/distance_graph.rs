@@ -5,13 +5,16 @@
 //! in different Voronoi cells, the connecting-path length
 //! `d_1(s, u) + d(u, v) + d_1(v, t)` becomes a candidate weight for the
 //! distance-graph edge `(s, t)`. When `v`'s state is remote the arc is
-//! shipped to `v`'s owner as a probe message. Global minima are then found
+//! shipped to `v`'s owner as a probe message. Cells are identified by
+//! seed index (the labels' `src`), so a cell pair `(si, ti)` is found
+//! without any vertex-to-index map; see [`local_min_edges`] for the
+//! per-cell candidate buckets. Global minima are then found
 //! with an `Allreduce(MIN)` — dense (the paper's `binom(|S|, 2)` buffer,
 //! optionally chunked to bound memory, §V-F) or sparse (map-merge, the
 //! memory-friendly alternative the suite defaults to for large seed sets).
 
 use crate::messages::ProbeMsg;
-use crate::state::{VertexStates, NO_VERTEX};
+use crate::state::{Label, VertexStates, NO_VERTEX};
 use std::collections::BTreeMap;
 use stgraph::csr::{Distance, Vertex, Weight, INF};
 use stgraph::partition::{BlockPartition, RankGraph};
@@ -72,15 +75,21 @@ pub enum ReduceMode {
 
 /// Local phase: returns this rank's best candidate per cell pair plus the
 /// traversal stats. Collective (runs a traversal).
+///
+/// Cells are keyed by seed index, which a label already carries in its
+/// `src`, so a cross-cell arc costs no lookup beyond the two labels.
+/// Candidates are collected per smaller seed index `si`, each bucket a
+/// short list of `(ti, best)` searched linearly (a cell borders about ten
+/// others on the dataset analogues), and emitted in `(si, ti)` order.
 pub fn local_min_edges(
     comm: &Comm,
     chan: &ChannelGroup<Vec<ProbeMsg>>,
     rg: &RankGraph,
     partition: &BlockPartition,
     states: &VertexStates,
-    seed_index: &BTreeMap<Vertex, u32>,
+    num_seeds: usize,
 ) -> (BTreeMap<PairKey, MinEdge>, struntime::TraversalStats) {
-    let mut local: BTreeMap<PairKey, MinEdge> = BTreeMap::new();
+    let mut buckets: Vec<Vec<(u32, MinEdge)>> = vec![Vec::new(); num_seeds];
 
     let stats = run_traversal(
         comm,
@@ -95,11 +104,10 @@ pub fn local_min_edges(
                     if lu.src == NO_VERTEX {
                         continue;
                     }
-                    if states.holds(v) {
+                    match states.label_if_held(v) {
                         // Both endpoints' states are local: evaluate here.
-                        record_candidate(&mut local, states, seed_index, v, u, w, lu.src, lu.dist);
-                    } else {
-                        pusher.push(
+                        Some(lv) => record_candidate(&mut buckets, u, lu.src, lu.dist, v, lv, w),
+                        None => pusher.push(
                             partition.owner(v),
                             ProbeMsg::Candidate {
                                 v,
@@ -108,7 +116,7 @@ pub fn local_min_edges(
                                 u_src: lu.src,
                                 u_dist: lu.dist,
                             },
-                        );
+                        ),
                     }
                 }
             }
@@ -118,46 +126,54 @@ pub fn local_min_edges(
                 weight,
                 u_src,
                 u_dist,
-            } => {
-                record_candidate(&mut local, states, seed_index, v, u, weight, u_src, u_dist);
-            }
+            } => record_candidate(&mut buckets, u, u_src, u_dist, v, states.label(v), weight),
         },
     );
+    let local = buckets
+        .into_iter()
+        .enumerate()
+        .flat_map(|(si, mut bucket)| {
+            bucket.sort_unstable_by_key(|&(ti, _)| ti);
+            bucket.into_iter().map(move |(ti, e)| ((si as u32, ti), e))
+        })
+        .collect();
     (local, stats)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Offers the arc `(u, v)` of weight `w` as a bridge between `u`'s cell
+/// `u_src` and `v`'s (a no-op when `v` is unreached or in the same cell).
 fn record_candidate(
-    local: &mut BTreeMap<PairKey, MinEdge>,
-    states: &VertexStates,
-    seed_index: &BTreeMap<Vertex, u32>,
-    v: Vertex,
+    buckets: &mut [Vec<(u32, MinEdge)>],
     u: Vertex,
-    w: Weight,
-    u_src: Vertex,
+    u_src: u32,
     u_dist: Distance,
+    v: Vertex,
+    lv: Label,
+    w: Weight,
 ) {
-    let lv = states.label(v);
     if lv.src == NO_VERTEX || lv.src == u_src {
         return;
     }
-    let total = u_dist + w + lv.dist;
-    let (si, ti) = (seed_index[&u_src], seed_index[&lv.src]);
     // Orient the bridge from the smaller seed's cell.
-    let (key, a, b) = if si < ti {
-        ((si, ti), u, v)
+    let (si, ti, a, b) = if u_src < lv.src {
+        (u_src, lv.src, u, v)
     } else {
-        ((ti, si), v, u)
+        (lv.src, u_src, v, u)
     };
     let cand = MinEdge {
-        total,
+        total: u_dist + w + lv.dist,
         a,
         b,
         weight: w,
     };
-    let entry = local.entry(key).or_insert(MinEdge::UNSET);
-    if cand < *entry {
-        *entry = cand;
+    let bucket = &mut buckets[si as usize];
+    match bucket.iter_mut().find(|(t, _)| *t == ti) {
+        Some((_, best)) => {
+            if cand < *best {
+                *best = cand;
+            }
+        }
+        None => bucket.push((ti, cand)),
     }
 }
 

@@ -373,11 +373,6 @@ pub fn solve_partitioned(
     let p = pg.ranks.len();
     assert_eq!(p, config.num_ranks, "partition/config rank mismatch");
     let reduce_mode = config.reduce_mode.resolve(seeds.len());
-    let seed_index: BTreeMap<Vertex, u32> = seeds
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| (s, i as u32))
-        .collect();
 
     // Phase retry policy: with active fault injection, a phase-level
     // failure (a disconnected distance graph that a fault-free run would
@@ -416,7 +411,6 @@ pub fn solve_partitioned(
                 comm,
                 pg,
                 &seeds,
-                &seed_index,
                 config.queue,
                 reduce_mode,
                 config.mst_mode,
@@ -514,13 +508,6 @@ pub fn solve_on(
     assert_eq!(p, world.num_ranks(), "world/config rank mismatch");
     let seeds = check_seeds_against(pg.partition.num_vertices(), seeds)?;
     let reduce_mode = config.reduce_mode.resolve(seeds.len());
-    let seed_index: Arc<BTreeMap<Vertex, u32>> = Arc::new(
-        seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u32))
-            .collect(),
-    );
     let queue = config.queue;
     let mst_mode = config.mst_mode;
     let batch_size = config.batch_size;
@@ -531,7 +518,6 @@ pub fn solve_on(
             comm,
             &pg_job,
             &seeds_job,
-            &seed_index,
             queue,
             reduce_mode,
             mst_mode,
@@ -670,7 +656,6 @@ fn rank_main(
     comm: &mut Comm,
     pg: &PartitionedGraph,
     seeds: &[Vertex],
-    seed_index: &BTreeMap<Vertex, u32>,
     queue: QueueKind,
     reduce_mode: ReduceMode,
     mst_mode: MstMode,
@@ -797,7 +782,7 @@ fn rank_main(
             Phase::LocalMinEdge.index() as u64,
         );
         let (l, probe_stats) =
-            distance_graph::local_min_edges(comm, &chan_probe, rg, partition, &states, seed_index);
+            distance_graph::local_min_edges(comm, &chan_probe, rg, partition, &states, seeds.len());
         drop(span);
         times[Phase::LocalMinEdge] = t.elapsed();
         processed += probe_stats.processed;

@@ -17,8 +17,9 @@ pub enum VoronoiMsg {
     /// Local bootstrap: relax the outgoing arcs of seed `s` held by this
     /// rank (its adjacency, or this rank's slice if `s` is a delegate).
     Start(Vertex),
-    /// Relaxation of `target` with a candidate label; `pred_weight` is the
-    /// weight of the `(label.pred, target)` edge.
+    /// Relaxation of a remote `target` with a candidate label, applied by
+    /// the owner when visited; `pred_weight` is the weight of the
+    /// `(label.pred, target)` edge.
     Relax {
         /// Vertex being relaxed.
         target: Vertex,
@@ -36,6 +37,15 @@ pub enum VoronoiMsg {
         /// Weight of the predecessor edge.
         pred_weight: Weight,
     },
+    /// Rank-local only: `label` was applied to the locally held `target`
+    /// when this message was pushed (eager relaxation); visiting it relaxes
+    /// `target`'s held arcs unless a later improvement superseded it.
+    Expand {
+        /// The improved vertex (owned, or a delegate replica).
+        target: Vertex,
+        /// The label it was improved to.
+        label: Label,
+    },
 }
 
 impl VoronoiMsg {
@@ -44,9 +54,9 @@ impl VoronoiMsg {
     pub fn priority(&self) -> u64 {
         match self {
             VoronoiMsg::Start(_) => 0,
-            VoronoiMsg::Relax { label, .. } | VoronoiMsg::DelegateUpdate { label, .. } => {
-                label.dist
-            }
+            VoronoiMsg::Relax { label, .. }
+            | VoronoiMsg::DelegateUpdate { label, .. }
+            | VoronoiMsg::Expand { label, .. } => label.dist,
         }
     }
 }
@@ -65,8 +75,8 @@ pub enum ProbeMsg {
         u: Vertex,
         /// Arc weight `d(u, v)`.
         weight: Weight,
-        /// `src(u)` at the sender.
-        u_src: Vertex,
+        /// `src(u)` at the sender (a seed index, see [`Label::src`]).
+        u_src: u32,
         /// `d_1(src(u), u)` at the sender.
         u_dist: Distance,
     },
@@ -88,6 +98,7 @@ impl Wire for VoronoiMsg {
             VoronoiMsg::Start(_) => 1 + 4,
             // tag + target + label (dist, src, pred) + pred_weight
             VoronoiMsg::Relax { .. } | VoronoiMsg::DelegateUpdate { .. } => 1 + 4 + 16 + 8,
+            VoronoiMsg::Expand { .. } => 1 + 4 + 16,
         }
     }
 
@@ -117,6 +128,11 @@ impl Wire for VoronoiMsg {
                 label.encode_into(out);
                 pred_weight.encode_into(out);
             }
+            VoronoiMsg::Expand { target, label } => {
+                out.push(3);
+                target.encode_into(out);
+                label.encode_into(out);
+            }
         }
     }
 
@@ -141,6 +157,10 @@ impl Wire for VoronoiMsg {
                     }
                 })
             }
+            3 => Some(VoronoiMsg::Expand {
+                target: Vertex::decode_from(buf, pos)?,
+                label: Label::decode_from(buf, pos)?,
+            }),
             _ => None,
         }
     }
@@ -187,7 +207,7 @@ impl Wire for ProbeMsg {
                 v: Vertex::decode_from(buf, pos)?,
                 u: Vertex::decode_from(buf, pos)?,
                 weight: Weight::decode_from(buf, pos)?,
-                u_src: Vertex::decode_from(buf, pos)?,
+                u_src: u32::decode_from(buf, pos)?,
                 u_dist: Distance::decode_from(buf, pos)?,
             }),
             _ => None,
@@ -247,6 +267,7 @@ mod tests {
                 label,
                 pred_weight: 2,
             },
+            VoronoiMsg::Expand { target: 6, label },
         ];
         let mut buf = Vec::new();
         encode_batch(&msgs, &mut buf);

@@ -296,46 +296,80 @@ proptest! {
     }
 
     /// The distributed Voronoi state equals the sequential multi-source
-    /// Dijkstra on distances (the labels' dist component).
+    /// Dijkstra on distances and cells, and reaches the very same full
+    /// labels `(dist, src, pred)` and predecessor weights as the 1-rank
+    /// priority solve — on every rank that holds a vertex (owned state and
+    /// every delegate replica), under every queue discipline, with and
+    /// without delegates. Eager local relaxation changes exactly which
+    /// labels are written when, so this pins the fixpoint it must keep.
     #[test]
     fn distributed_voronoi_matches_sequential(
         (g, seeds) in arb_connected_instance(16, 20, 5),
         p in 1usize..5,
-        bucketed in proptest::bool::ANY,
+        queue_ix in 0usize..3,
+        delegate_threshold in proptest::option::of(2usize..6),
     ) {
-        use crate::state::{ScratchArena, VertexStates, NO_VERTEX};
-        let queue = if bucketed {
-            QueueKind::Bucketed { delta: crate::auto_delta(&g) }
-        } else {
-            QueueKind::Priority
-        };
-        let pg = partition_graph(&g, p, None);
-        let seeds_ref = &seeds;
-        let pg_ref = &pg;
-        let out = World::run(p, |comm| {
-            let chan = comm.open_channels::<Vec<crate::messages::VoronoiMsg>>("voronoi");
-            let rg = &pg_ref.ranks[comm.rank()];
-            let mut st = VertexStates::new(rg);
-            let mut scratch = ScratchArena::new();
-            crate::voronoi::run(
-                comm, &chan, rg, &pg_ref.partition, &mut st, seeds_ref,
-                struntime::traversal::TraversalOptions::new(queue),
-                &mut scratch,
-            );
-            st.owned_labels().collect::<Vec<_>>()
-        });
+        use crate::state::NO_VERTEX;
+        let queue = [
+            QueueKind::Priority,
+            QueueKind::Bucketed { delta: crate::auto_delta(&g) },
+            QueueKind::Fifo,
+        ][queue_ix];
+        let reference = held_voronoi_labels(&g, &seeds, 1, QueueKind::Priority, None);
         let vr = voronoi_cells(&g, &seeds);
-        for labels in &out.results {
-            for &(v, l) in labels {
-                prop_assert_eq!(
-                    l.dist,
-                    vr.dist[v as usize],
-                    "distance mismatch at {}", v
-                );
-                if l.src != NO_VERTEX {
-                    prop_assert_eq!(Some(l.src), vr.src[v as usize], "src mismatch at {}", v);
-                }
+        for (v, l, _) in &reference {
+            prop_assert_eq!(l.dist, vr.dist[*v as usize], "distance mismatch at {}", v);
+            if l.src != NO_VERTEX {
+                let src = seeds[l.src as usize];
+                prop_assert_eq!(Some(src), vr.src[*v as usize], "src mismatch at {}", v);
             }
         }
+        let held = held_voronoi_labels(&g, &seeds, p, queue, delegate_threshold);
+        // Every vertex is held at least once (owned or replicated).
+        prop_assert!(held.len() >= g.num_vertices());
+        for (v, l, w) in held {
+            let (_, want, want_w) = reference[v as usize];
+            prop_assert_eq!(l, want, "label mismatch at {} (queue {:?})", v, queue);
+            prop_assert_eq!(w, want_w, "pred weight mismatch at {}", v);
+        }
     }
+}
+
+/// Runs the asynchronous Voronoi phase and returns every label held
+/// anywhere — each rank's owned vertices plus its delegate replicas —
+/// with its predecessor weight, sorted by vertex (replicas repeat).
+fn held_voronoi_labels(
+    g: &CsrGraph,
+    seeds: &[Vertex],
+    p: usize,
+    queue: QueueKind,
+    delegate_threshold: Option<usize>,
+) -> Vec<(Vertex, crate::state::Label, stgraph::csr::Weight)> {
+    use crate::state::{ScratchArena, VertexStates};
+    let pg = partition_graph(g, p, delegate_threshold);
+    let pg = &pg;
+    let out = World::run(p, |comm| {
+        let chan = comm.open_channels::<Vec<crate::messages::VoronoiMsg>>("voronoi");
+        let rg = &pg.ranks[comm.rank()];
+        let mut st = VertexStates::new(rg);
+        let mut scratch = ScratchArena::new();
+        crate::voronoi::run(
+            comm,
+            &chan,
+            rg,
+            &pg.partition,
+            &mut st,
+            seeds,
+            struntime::traversal::TraversalOptions::new(queue),
+            &mut scratch,
+        );
+        st.owned_labels()
+            .map(|(v, _)| v)
+            .chain(rg.delegates.iter().copied())
+            .map(|v| (v, st.label(v), st.pred_weight(v)))
+            .collect::<Vec<_>>()
+    });
+    let mut all: Vec<_> = out.results.into_iter().flatten().collect();
+    all.sort_by_key(|&(v, _, _)| v);
+    all
 }

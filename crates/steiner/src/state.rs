@@ -14,6 +14,12 @@
 //! the asynchronous computation converges to a unique fixpoint regardless
 //! of message timing — this is what makes the distributed solver's output
 //! deterministic and bit-comparable to the sequential reference.
+//!
+//! `src` is the seed's *index* in the solve's seed list, not its vertex
+//! id. The solver sorts and dedups the seeds first, so index order is
+//! vertex order and ties break exactly as they would on vertex ids; the
+//! distance-graph scan then keys cell pairs by `src` directly, and only
+//! code that emits a vertex maps back through `seeds[src]`.
 
 use crate::messages::VoronoiMsg;
 use stgraph::csr::{Distance, Vertex, Weight, INF};
@@ -29,8 +35,9 @@ pub const NO_VERTEX: Vertex = Vertex::MAX;
 pub struct Label {
     /// Distance from the seed.
     pub dist: Distance,
-    /// The seed (`src`) this label descends from.
-    pub src: Vertex,
+    /// Index, in the solve's sorted seed list, of the seed (`src`) this
+    /// label descends from (`NO_VERTEX` while unreached).
+    pub src: u32,
     /// Predecessor vertex on the path (`NO_VERTEX` for seeds).
     pub pred: Vertex,
 }
@@ -43,11 +50,11 @@ impl Label {
         pred: NO_VERTEX,
     };
 
-    /// The label of seed `s` itself.
-    pub fn seed(s: Vertex) -> Label {
+    /// The label of the seed with index `index` itself.
+    pub fn seed(index: u32) -> Label {
         Label {
             dist: 0,
-            src: s,
+            src: index,
             pred: NO_VERTEX,
         }
     }
@@ -67,7 +74,7 @@ impl Wire for Label {
     fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
         Some(Label {
             dist: Distance::decode_from(buf, pos)?,
-            src: Vertex::decode_from(buf, pos)?,
+            src: u32::decode_from(buf, pos)?,
             pred: Vertex::decode_from(buf, pos)?,
         })
     }
@@ -75,7 +82,7 @@ impl Wire for Label {
 
 struct StateArrays {
     dist: Vec<Distance>,
-    src: Vec<Vertex>,
+    src: Vec<u32>,
     pred: Vec<Vertex>,
     pred_weight: Vec<Weight>,
     traced: Vec<bool>,
@@ -120,7 +127,7 @@ impl StateArrays {
         }
         for i in 0..len {
             self.dist[i] = Distance::decode_from(buf, pos)?;
-            self.src[i] = Vertex::decode_from(buf, pos)?;
+            self.src[i] = u32::decode_from(buf, pos)?;
             self.pred[i] = Vertex::decode_from(buf, pos)?;
             self.pred_weight[i] = Weight::decode_from(buf, pos)?;
             self.traced[i] = bool::decode_from(buf, pos)?;
@@ -170,21 +177,18 @@ impl VertexStates {
         self.delegates.binary_search(&v).is_ok()
     }
 
-    /// Whether this rank holds state for `v` (owned or replica).
-    pub fn holds(&self, v: Vertex) -> bool {
-        self.is_delegate(v)
-            || (v >= self.owned_start && ((v - self.owned_start) as usize) < self.owned_len)
+    /// Where `v`'s state lives on this rank, or `None` if it is remote.
+    fn held_slot(&self, v: Vertex) -> Option<Slot> {
+        if let Ok(i) = self.delegates.binary_search(&v) {
+            return Some(Slot::Delegate(i));
+        }
+        let i = v.wrapping_sub(self.owned_start) as usize;
+        (v >= self.owned_start && i < self.owned_len).then_some(Slot::Owned(i))
     }
 
     fn slot(&self, v: Vertex) -> Slot {
-        if let Ok(i) = self.delegates.binary_search(&v) {
-            return Slot::Delegate(i);
-        }
-        assert!(
-            v >= self.owned_start && ((v - self.owned_start) as usize) < self.owned_len,
-            "rank holds no state for vertex {v}"
-        );
-        Slot::Owned((v - self.owned_start) as usize)
+        self.held_slot(v)
+            .unwrap_or_else(|| panic!("rank holds no state for vertex {v}"))
     }
 
     fn arrays(&self, s: Slot) -> (&StateArrays, usize) {
@@ -203,7 +207,16 @@ impl VertexStates {
 
     /// The current label of `v`.
     pub fn label(&self, v: Vertex) -> Label {
-        let (a, i) = self.arrays(self.slot(v));
+        self.label_at(self.slot(v))
+    }
+
+    /// The current label of `v`, or `None` if its state is remote.
+    pub fn label_if_held(&self, v: Vertex) -> Option<Label> {
+        self.held_slot(v).map(|s| self.label_at(s))
+    }
+
+    fn label_at(&self, s: Slot) -> Label {
+        let (a, i) = self.arrays(s);
         Label {
             dist: a.dist[i],
             src: a.src[i],
@@ -220,7 +233,23 @@ impl VertexStates {
     /// Applies `label` to `v` if it is strictly smaller than the current
     /// one; records `pred_weight` alongside. Returns whether it improved.
     pub fn try_improve(&mut self, v: Vertex, label: Label, pred_weight: Weight) -> bool {
-        let (a, i) = self.arrays_mut(self.slot(v));
+        self.try_improve_at(self.slot(v), label, pred_weight)
+    }
+
+    /// [`VertexStates::try_improve`] for a vertex this rank may not hold:
+    /// `None` when `v`'s state is remote, else whether `label` improved it.
+    pub fn try_improve_if_held(
+        &mut self,
+        v: Vertex,
+        label: Label,
+        pred_weight: Weight,
+    ) -> Option<bool> {
+        let s = self.held_slot(v)?;
+        Some(self.try_improve_at(s, label, pred_weight))
+    }
+
+    fn try_improve_at(&mut self, s: Slot, label: Label, pred_weight: Weight) -> bool {
+        let (a, i) = self.arrays_mut(s);
         let current = Label {
             dist: a.dist[i],
             src: a.src[i],
@@ -239,13 +268,13 @@ impl VertexStates {
 
     /// Initializes seed labels: owned seeds and *all* delegate seeds (every
     /// rank can do the latter without communication since the seed list is
-    /// globally known).
+    /// globally known). Seed `seeds[k]` gets `src = k`.
     pub fn init_seeds(&mut self, seeds: &[Vertex]) {
-        for &s in seeds {
-            if self.holds(s) {
-                let (a, i) = self.arrays_mut(self.slot(s));
+        for (k, &s) in seeds.iter().enumerate() {
+            if let Some(slot) = self.held_slot(s) {
+                let (a, i) = self.arrays_mut(slot);
                 a.dist[i] = 0;
-                a.src[i] = s;
+                a.src[i] = k as u32;
                 a.pred[i] = NO_VERTEX;
                 a.pred_weight[i] = 0;
             }
@@ -414,6 +443,9 @@ mod tests {
         assert_eq!(st.pred_weight(1), 7);
         // Equal label does not improve.
         assert!(!st.try_improve(1, l1, 7));
+        assert_eq!(st.try_improve_if_held(1, l1, 7), Some(false));
+        // Vertex 7 lives on rank 1: nothing to improve here.
+        assert_eq!(st.try_improve_if_held(7, l1, 7), None);
         // Worse distance rejected.
         assert!(!st.try_improve(
             1,
@@ -440,9 +472,11 @@ mod tests {
     fn init_seeds_sets_zero_labels() {
         let mut st = make_states(false);
         st.init_seeds(&[1, 3, 6]); // rank 0 owns 0..4
-        assert_eq!(st.label(1), Label::seed(1));
-        assert_eq!(st.label(3), Label::seed(3));
+                                   // `src` is the seed's index in the list, not its vertex id.
+        assert_eq!(st.label(1), Label::seed(0));
+        assert_eq!(st.label(3), Label::seed(1));
         assert_eq!(st.label(0), Label::UNSET);
+        assert_eq!(st.label_if_held(6), None, "vertex 6 lives on rank 1");
     }
 
     #[test]
@@ -450,9 +484,9 @@ mod tests {
         let st = make_states(true);
         // Vertex 0 has degree 7 -> delegate; rank 0 holds it via replica.
         assert!(st.is_delegate(0));
-        assert!(st.holds(0));
+        assert!(st.label_if_held(0).is_some());
         // Remote non-delegate not held.
-        assert!(!st.holds(7));
+        assert!(st.label_if_held(7).is_none());
     }
 
     #[test]
@@ -494,7 +528,7 @@ mod tests {
         assert_eq!(pos, blob.len(), "restore consumes the whole snapshot");
         assert_eq!(fresh.label(2), st.label(2));
         assert_eq!(fresh.pred_weight(2), st.pred_weight(2));
-        assert_eq!(fresh.label(1), Label::seed(1));
+        assert_eq!(fresh.label(1), Label::seed(0));
         assert!(!fresh.mark_traced(2), "traced flags survive the snapshot");
 
         // A snapshot for a different shape is rejected, not misapplied.

@@ -61,7 +61,7 @@ pub fn run(
                 return; // Chain already walked from another bridge.
             }
             let label = states.label(vertex);
-            if label.src == vertex || label.pred == NO_VERTEX {
+            if label.pred == NO_VERTEX {
                 return; // Reached the cell's seed.
             }
             edges.push((label.pred, vertex, states.pred_weight(vertex)));

@@ -68,9 +68,9 @@ pub fn run_bsp(
             });
         }
     };
-    for &s in seeds {
+    for (k, &s) in seeds.iter().enumerate() {
         if rg.owns(s) {
-            emit(outboxes, s, Label::seed(s), rg);
+            emit(outboxes, s, Label::seed(k as u32), rg);
         }
     }
 
@@ -151,7 +151,8 @@ mod tests {
             for (v, l) in bsp_labels(&g, &seeds, p) {
                 assert_eq!(l.dist, vr.dist[v as usize], "p={p}, vertex {v}");
                 if l.src != NO_VERTEX {
-                    assert_eq!(Some(l.src), vr.src[v as usize], "p={p}, vertex {v}");
+                    let src = seeds[l.src as usize];
+                    assert_eq!(Some(src), vr.src[v as usize], "p={p}, vertex {v}");
                 }
             }
         }

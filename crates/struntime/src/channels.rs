@@ -77,6 +77,11 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// How long (ms) a send to a peer whose endpoint is gone waits for the
+/// abort epoch before treating the dead endpoint as a protocol bug; see
+/// `ChannelGroup::raw_send`.
+const DEAD_PEER_GRACE_MS: u32 = 5_000;
+
 /// The caller's message as shipped, wrapped in an audit envelope on
 /// `check` builds.
 #[cfg(feature = "check")]
@@ -350,10 +355,23 @@ impl<T: Send + Clone + 'static> ChannelGroup<T> {
 
     /// Puts a message on the crossbeam channel — the only call site of
     /// the raw send, below the fault injector.
+    ///
+    /// A send fails only once `dest` has dropped its endpoint, i.e. its
+    /// rank code exited while the world still runs. Mid-world that is a
+    /// crash-stopped peer unwinding towards its `catch_unwind`, which
+    /// raises the abort epoch a moment later — so wait for the epoch and
+    /// unwind as a [`crate::CooperativeAbort`] instead of being recorded
+    /// as a second, spurious `Panic`. A peer that exited normally never
+    /// raises it: after the grace period that protocol bug still panics.
     fn raw_send(&self, dest: usize, msg: WireMsg<T>) {
-        if self.senders[dest].send(msg).is_err() {
-            unreachable!("receiver endpoint dropped while its world is running");
+        if self.senders[dest].send(msg).is_ok() {
+            return;
         }
+        for _ in 0..DEAD_PEER_GRACE_MS {
+            self.ctx.shared.poll_abort(self.rank);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        unreachable!("receiver endpoint dropped while its world is running");
     }
 
     /// Ships a wire payload to `dest`. `sequenced` traffic (traversal
@@ -886,6 +904,29 @@ mod tests {
         g1.send(1, 42);
         assert_eq!(g2.try_recv(), Some(42));
         assert_eq!(g2.try_recv(), None);
+    }
+
+    #[test]
+    fn send_to_an_unwound_peer_unwinds_cooperatively() {
+        // Regression: a crash-stopped rank drops its endpoint while it
+        // unwinds, a moment before its `catch_unwind` raises the abort
+        // epoch. A survivor's send in that window used to panic with
+        // "receiver endpoint dropped", which the supervisor recorded as a
+        // genuine `Panic` and re-raised instead of restoring. Here the
+        // endpoint is gone and the epoch is up when the raw send runs.
+        let (g1, g2) = group_pair();
+        drop(g2);
+        g1.ctx.shared.abort.store(true, Ordering::SeqCst);
+        let msg = WireMsg::Data {
+            src: 0,
+            seq: 0,
+            payload: g1.wrap(1, 7, 1),
+            lineage: None,
+        };
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g1.raw_send(1, msg)))
+                .expect_err("a send to a dropped endpoint must unwind");
+        assert!(payload.is::<crate::CooperativeAbort>());
     }
 
     #[test]

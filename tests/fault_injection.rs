@@ -86,6 +86,46 @@ fn chaos_matrix_recovers_bit_identical_trees() {
     }
 }
 
+/// Regression for a crash-recovery race: a rank crash-stopped inside the
+/// Voronoi phase drops its channel endpoints while it unwinds, and a
+/// survivor flushing a batch to it in that window used to panic
+/// ("receiver endpoint dropped"). The supervisor saw a genuine panic and
+/// re-raised it instead of restoring. The race is timing-dependent, so the
+/// plan — the combination the chaos sweep tripped on, on the sweep's own
+/// graph — runs many times; every run must restore to the undisturbed tree.
+#[test]
+fn voronoi_crash_stop_recovers_on_every_run() {
+    let n: u32 = 96;
+    let mut b = stgraph::builder::GraphBuilder::new(n as usize);
+    for i in 0..n {
+        b.add_edge(i, (i + 1) % n, 2 + (i % 5) as u64);
+        if i % 7 == 0 {
+            b.add_edge(i, (i + n / 3) % n, 9);
+        }
+    }
+    let g = b.build();
+    let seeds: Vec<stgraph::csr::Vertex> = (0..n).step_by((n / 6) as usize).collect();
+    let base_cfg = steiner::SolverConfig {
+        num_ranks: 4,
+        queue: QueueKind::Fifo,
+        ..steiner::SolverConfig::default()
+    };
+    let baseline = steiner::solve(&g, &seeds, &base_cfg).expect("undisturbed solve");
+    let plan = FaultPlan::from_spec("crash_rank=1,crash_after_visits=3,crash_phase=0,seed=7")
+        .expect("valid crash plan");
+    let cfg = steiner::SolverConfig {
+        mst_mode: steiner::MstMode::Dist,
+        faults: Some(plan),
+        ..base_cfg
+    };
+    for run in 0..25 {
+        let r = steiner::solve(&g, &seeds, &cfg)
+            .unwrap_or_else(|e| panic!("run {run}: crash-stop solve failed: {e}"));
+        assert!(r.recovery.restores >= 1, "run {run}: never restored");
+        assert_eq!(r.tree, baseline.tree, "run {run}: recovered tree diverged");
+    }
+}
+
 #[test]
 fn faulted_solve_reports_v3_counters() {
     let g = chaos_graph();

@@ -147,6 +147,8 @@ fn main() {
     println!("relaxations unvisited (stale drops column). Every discipline");
     println!("applies relaxations of rank-local targets at push time and");
     println!("enqueues only improvements, so the local column counts those;");
-    println!("the remote column counts every cross-rank relaxation.");
+    println!("the remote column counts the cross-rank relaxations sent: a");
+    println!("rank skips one that cannot beat the best label it already sent");
+    println!("to that vertex. local_min sends one probe per cut edge.");
     bench_report.finish();
 }

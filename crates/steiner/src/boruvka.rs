@@ -115,7 +115,7 @@ fn find(parent: &[u32], mut i: u32) -> u32 {
 /// distance graph that does not span all seeds the loop stops at the
 /// first round with no outgoing edges and returns fewer than
 /// `num_seeds - 1` edges, mirroring the replicated path's
-/// `spans_all_seeds` failure.
+/// [`split_pair`](crate::mst::split_pair) failure.
 ///
 /// Peak memory under the `"distance_graph_boruvka"` label is one slot
 /// vector — `O(#components)` per round, at most `num_seeds` entries —

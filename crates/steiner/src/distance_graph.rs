@@ -5,13 +5,37 @@
 //! in different Voronoi cells, the connecting-path length
 //! `d_1(s, u) + d(u, v) + d_1(v, t)` becomes a candidate weight for the
 //! distance-graph edge `(s, t)`. When `v`'s state is remote the arc is
-//! shipped to `v`'s owner as a probe message. Cells are identified by
+//! shipped to `v`'s owner as a probe message — from one side of each cut
+//! edge only (see *One probe per cut edge* below). Cells are identified by
 //! seed index (the labels' `src`), so a cell pair `(si, ti)` is found
 //! without any vertex-to-index map; see [`local_min_edges`] for the
 //! per-cell candidate buckets. Global minima are then found
 //! with an `Allreduce(MIN)` — dense (the paper's `binom(|S|, 2)` buffer,
 //! optionally chunked to bound memory, §V-F) or sparse (map-merge, the
 //! memory-friendly alternative the suite defaults to for large seed sets).
+//!
+//! ## One probe per cut edge
+//!
+//! The graph is symmetric, and [`record_candidate`] orients every bridge
+//! from the smaller seed's cell, so the arcs `(u, v)` and `(v, u)` offer
+//! the identical [`MinEdge`]. Evaluating both would ship the same
+//! candidate twice, so a rank holding `u` but not `v` probes only when the
+//! reverse arc will not be evaluated elsewhere:
+//!
+//! - **Delegate exemption.** If `u` is a delegate, `v`'s owner holds `u`'s
+//!   replica and `v`'s full adjacency, so it evaluates `(v, u)` locally.
+//!   No probe.
+//! - **Balanced rule.** Otherwise `u` and `v` are owned non-delegates on
+//!   different ranks, and both owners see the edge as remote. Exactly one
+//!   sends: the side for which `(u < v) != ((u ^ v) & 1 == 1)` holds. The
+//!   rule is symmetric in `{u, v}` (swapping them flips the first term and
+//!   keeps the second), and the parity term splits the sends between the
+//!   two directions. Plain `u < v` would also pick one side, but with
+//!   block partitioning it makes the lower rank send every probe and the
+//!   higher rank receive them all.
+//!
+//! A skipped probe loses nothing: if the sending side's endpoint is
+//! unreached the candidate would be a no-op either way.
 
 use crate::messages::ProbeMsg;
 use crate::state::{Label, VertexStates, NO_VERTEX};
@@ -107,6 +131,8 @@ pub fn local_min_edges(
                     match states.label_if_held(v) {
                         // Both endpoints' states are local: evaluate here.
                         Some(lv) => record_candidate(&mut buckets, u, lu.src, lu.dist, v, lv, w),
+                        // The reverse arc is probed or evaluated elsewhere.
+                        None if !probes_cut_edge(rg, u, v) => {}
                         None => pusher.push(
                             partition.owner(v),
                             ProbeMsg::Candidate {
@@ -138,6 +164,13 @@ pub fn local_min_edges(
         })
         .collect();
     (local, stats)
+}
+
+/// Whether this rank, holding `u` but not `v`, ships the probe for the cut
+/// edge `{u, v}` (see the module docs): never for a delegate `u`, else
+/// for exactly one orientation of the edge.
+fn probes_cut_edge(rg: &RankGraph, u: Vertex, v: Vertex) -> bool {
+    !rg.is_delegate(u) && (u < v) != ((u ^ v) & 1 == 1)
 }
 
 /// Offers the arc `(u, v)` of weight `w` as a bridge between `u`'s cell
@@ -274,6 +307,36 @@ pub fn pair_offset(k: usize, si: u32, ti: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn exactly_one_side_probes_each_cut_edge() {
+        let g = {
+            let mut b = stgraph::builder::GraphBuilder::new(8);
+            for u in 0..8u32 {
+                for v in (u + 1)..8 {
+                    b.add_edge(u, v, 1);
+                }
+            }
+            b.build()
+        };
+        let pg = stgraph::partition::partition_graph(&g, 2, None);
+        let (r0, r1) = (&pg.ranks[0], &pg.ranks[1]);
+        let mut sends = [0usize; 2];
+        for u in r0.owned.clone() {
+            for v in r1.owned.clone() {
+                let (a, b) = (probes_cut_edge(r0, u, v), probes_cut_edge(r1, v, u));
+                assert!(a != b, "edge {{{u}, {v}}} must be probed from one side");
+                sends[usize::from(b)] += 1;
+            }
+        }
+        // Both directions carry probes (plain `u < v` would leave rank 1
+        // sending none).
+        assert_eq!(sends, [8, 8]);
+        // A delegate endpoint never probes: its partner's owner holds the
+        // replica and evaluates the reverse arc.
+        let pg = stgraph::partition::partition_graph(&g, 2, Some(7));
+        assert!((0..8).all(|u| (0..8).all(|v| !probes_cut_edge(&pg.ranks[0], u, v))));
+    }
 
     #[test]
     fn pair_offsets_are_dense_and_unique() {

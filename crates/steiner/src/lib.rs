@@ -326,7 +326,9 @@ fn check_seeds_against(num_vertices: usize, seeds: &[Vertex]) -> Result<Vec<Vert
 struct RankOutcome {
     edges: Vec<(Vertex, Vertex, Weight)>,
     times: PhaseTimes,
-    connected: bool,
+    /// Seed indices in two different components, when the distance graph
+    /// does not span the seeds (identical on every rank).
+    cut: Option<PairKey>,
     distance_graph_edges: usize,
     visitors_processed: u64,
     stale_dropped: u64,
@@ -547,11 +549,12 @@ fn assemble_report(
     if !out.audit_violations.is_empty() {
         struntime::write_flight_dump_env(&out.telemetry, "audit_failure");
     }
-    let connected = out.results.iter().all(|r| r.connected);
-    if !connected {
+    if let Some((si, ti)) = out.results.iter().find_map(|r| r.cut) {
         struntime::write_flight_dump_env(&out.telemetry, "phase_failure");
-        // Identify a concrete pair for the error message.
-        return Err(first_disconnected_pair_of(pg, &seeds));
+        return Err(SteinerError::SeedsDisconnected(
+            seeds[si as usize],
+            seeds[ti as usize],
+        ));
     }
 
     let p = pg.ranks.len();
@@ -601,12 +604,20 @@ fn assemble_report(
     })
 }
 
-fn first_disconnected_pair_of(_pg: &PartitionedGraph, seeds: &[Vertex]) -> SteinerError {
-    // Rebuild reachability cheaply from rank 0's perspective is not
-    // possible without the full graph; report the canonical first/last
-    // pair. Callers needing the precise pair can use the sequential
-    // baselines' diagnostics.
-    SteinerError::SeedsDisconnected(seeds[0], *seeds.last().expect("non-empty"))
+/// The seed-index pairs of the Borůvka bridges, resolved from the cell
+/// labels of their endpoints: each rank fills in the endpoints whose state
+/// it holds, and an `Allreduce(MIN)` completes the table (every endpoint
+/// is held by its owner). Collective. Only the disconnected-seeds error
+/// path needs it: a restored checkpoint carries the bridges without their
+/// keys.
+fn bridge_pairs(comm: &Comm, states: &VertexStates, bridges: &[MinEdge]) -> Vec<PairKey> {
+    let mut cells: Vec<u32> = bridges
+        .iter()
+        .flat_map(|e| [e.a, e.b])
+        .map(|v| states.label_if_held(v).map_or(u32::MAX, |l| l.src))
+        .collect();
+    comm.allreduce_min(&mut cells);
+    cells.chunks_exact(2).map(|c| (c[0], c[1])).collect()
 }
 
 /// Serializes this rank's snapshot for the `completed`-phases boundary
@@ -922,19 +933,23 @@ fn rank_main(
     // and never restores), so absent artifacts mean spanning held. In
     // dist mode the Borůvka loop is its own spanning witness: exactly
     // `|S| - 1` chosen bridges iff the distance graph spans all seeds.
-    let spans = match mst_mode {
-        MstMode::Replicated => chosen
-            .as_deref()
-            .map_or(true, |ch| mst::spans_all_seeds(seeds.len(), ch)),
+    // Either spanning forest also names a pair of seeds it leaves apart.
+    let cut = match mst_mode {
+        MstMode::Replicated => chosen.as_deref().and_then(|ch| {
+            let dg = dg.as_deref().expect("distance graph live through the MST");
+            mst::split_pair(seeds.len(), ch.iter().map(|&i| dg[i].0))
+        }),
+        // The count check keeps `bridge_pairs`' collective on the error path.
         MstMode::Dist => bridges
             .as_deref()
-            .map_or(true, |b| b.len() + 1 == seeds.len()),
+            .filter(|b| b.len() + 1 != seeds.len())
+            .and_then(|b| mst::split_pair(seeds.len(), bridge_pairs(comm, &states, b))),
     };
-    if !spans {
+    if cut.is_some() {
         return RankOutcome {
             edges: Vec::new(),
             times,
-            connected: false,
+            cut,
             distance_graph_edges: dg_len,
             visitors_processed: processed,
             stale_dropped,
@@ -997,7 +1012,7 @@ fn rank_main(
     RankOutcome {
         edges,
         times,
-        connected: true,
+        cut: None,
         distance_graph_edges: dg_len,
         visitors_processed: processed,
         stale_dropped,

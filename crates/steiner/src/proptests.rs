@@ -185,7 +185,8 @@ proptest! {
     }
 
     /// Rank count, queue discipline, and delegation never change the tree:
-    /// the (dist, src, pred) fixpoint is deterministic.
+    /// the (dist, src, pred) fixpoint is deterministic, and so is the
+    /// distance graph built from it.
     #[test]
     fn solver_is_configuration_invariant(
         (g, seeds) in arb_connected_instance(16, 20, 5),
@@ -205,6 +206,10 @@ proptest! {
                 let r = solve(&g, &seeds, &cfg).unwrap();
                 prop_assert_eq!(&r.tree, &reference.tree,
                     "differs at p={} queue={:?} thresh={:?}", p, queue, thresh);
+                // Every cut edge is evaluated by exactly one side (probe or
+                // local replica), so no cell pair is lost or invented.
+                prop_assert_eq!(r.distance_graph_edges, reference.distance_graph_edges,
+                    "distance graph differs at p={} queue={:?} thresh={:?}", p, queue, thresh);
             }
         }
     }

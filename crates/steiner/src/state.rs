@@ -336,6 +336,9 @@ impl VertexStates {
 ///
 /// - `init` — the bootstrap message list the asynchronous phase seeds its
 ///   local queue from,
+/// - `sent` — the asynchronous phase's per-ghost cache of the best label
+///   already shipped (parallel to `RankGraph::ghosts`), which suppresses
+///   dominated remote relaxations,
 /// - `outboxes` — the BSP variant's per-destination relaxation outboxes,
 /// - `wire` — the flat byte buffer batches are wire-encoded into before
 ///   shipping (see `ChannelGroup::send_batch_encoded`).
@@ -346,6 +349,7 @@ impl VertexStates {
 #[derive(Default)]
 pub struct ScratchArena {
     init: Vec<VoronoiMsg>,
+    sent: Vec<Label>,
     outboxes: Vec<Vec<VoronoiMsg>>,
     wire: Vec<u8>,
 }
@@ -356,10 +360,15 @@ impl ScratchArena {
         ScratchArena::default()
     }
 
-    /// The bootstrap message buffer, cleared but with capacity retained.
-    pub fn init_msgs(&mut self) -> &mut Vec<VoronoiMsg> {
+    /// The asynchronous Voronoi phase's buffers, split-borrowed: the
+    /// bootstrap message list (cleared, capacity retained) and the
+    /// sent-label cache, reset to `num_ghosts` entries of
+    /// [`Label::UNSET`].
+    pub fn voronoi_buffers(&mut self, num_ghosts: usize) -> (&mut Vec<VoronoiMsg>, &mut [Label]) {
         self.init.clear();
-        &mut self.init
+        self.sent.clear();
+        self.sent.resize(num_ghosts, Label::UNSET);
+        (&mut self.init, &mut self.sent)
     }
 
     /// The BSP outboxes (resized to `p` destinations, each cleared with
@@ -377,6 +386,7 @@ impl ScratchArena {
     /// retained capacity is what the arena's reuse is about).
     pub fn memory_bytes(&self) -> usize {
         self.init.capacity() * std::mem::size_of::<VoronoiMsg>()
+            + self.sent.capacity() * std::mem::size_of::<Label>()
             + self
                 .outboxes
                 .iter()
@@ -548,11 +558,22 @@ mod tests {
     #[test]
     fn scratch_arena_clears_but_retains_capacity() {
         let mut a = ScratchArena::new();
-        a.init_msgs()
-            .extend([VoronoiMsg::Start(1), VoronoiMsg::Start(2)]);
-        let init = a.init_msgs(); // handed out cleared
+        let (init, sent) = a.voronoi_buffers(3);
+        init.extend([VoronoiMsg::Start(1), VoronoiMsg::Start(2)]);
+        sent[1] = Label::seed(0);
+        let (init, sent) = a.voronoi_buffers(2); // handed out cleared
         assert!(init.is_empty());
         assert!(init.capacity() >= 2, "reuse must keep the allocation");
+        assert_eq!(
+            sent,
+            &[Label::UNSET; 2],
+            "every run starts with nothing sent"
+        );
+        a.voronoi_buffers(1000);
+        assert!(
+            a.memory_bytes() >= 1000 * std::mem::size_of::<Label>(),
+            "the sent-label cache is accounted"
+        );
 
         let (outboxes, _wire) = a.bsp_buffers(4);
         assert_eq!(outboxes.len(), 4);

@@ -51,6 +51,22 @@
 //! current because nothing smaller replaced it. So every final label is
 //! expanded on every rank that holds the vertex's arcs, as in plain
 //! label-correcting Bellman-Ford.
+//!
+//! ## Remote send suppression
+//!
+//! A rank keeps, for each of its *ghosts* (`RankGraph::ghosts`: the
+//! remote targets of its local arcs), the smallest label it has already
+//! shipped in a `Relax` — one `sent` entry per ghost, reset to
+//! [`Label::UNSET`] at the start of every run and held in the
+//! [`ScratchArena`]. A remote candidate is sent only if it is strictly
+//! smaller than that entry, which it then replaces. A suppressed candidate
+//! is `>=` a label already on its way to the owner; the reliability layer
+//! delivers that label, after which the owner's label is at most it, so
+//! the suppressed candidate could never have passed `try_improve` — its
+//! visit would have been a no-op. The fixpoint, and thus the tree, is
+//! unchanged; only messages that would have been stale are never sent.
+//! The table is sized by the rank's cut, not by `|V|`, and a ghost's slot
+//! is found by binary search over the sorted ghost list.
 
 use crate::messages::VoronoiMsg;
 use crate::state::{Label, ScratchArena, VertexStates};
@@ -64,8 +80,9 @@ use struntime::{ChannelGroup, Comm, Pusher, TraversalStats};
 /// `seeds` must be strictly ascending (as the solver's seed check returns
 /// them): a label's `src` is the seed's index in it, so index order must
 /// be vertex order for ties to break as in the sequential baselines.
-/// `scratch` provides the reusable bootstrap buffer so repeated solves
-/// (fault retries, benchmark sweeps) do not re-allocate per phase.
+/// `scratch` provides the reusable bootstrap buffer and sent-label cache
+/// so repeated solves (fault retries, benchmark sweeps) do not
+/// re-allocate per phase.
 #[allow(clippy::too_many_arguments)] // collective phase entry: ctx + graph views + state + knobs
 pub fn run(
     comm: &Comm,
@@ -82,11 +99,11 @@ pub fn run(
         "seeds must be sorted and deduplicated"
     );
     states.init_seeds(seeds);
+    let (init, sent) = scratch.voronoi_buffers(rg.ghosts().len());
 
     // Bootstrap: this rank starts every seed whose outgoing arcs it holds —
     // owned non-delegate seeds, plus every delegate seed (each rank holds a
     // slice of a delegate's adjacency).
-    let init = scratch.init_msgs();
     init.extend(
         seeds
             .iter()
@@ -117,7 +134,7 @@ pub fn run(
                 .is_some_and(|current| label >= current),
         },
         init.iter().copied(),
-        |msg, pusher| visit(msg, rg, partition, &mut states.borrow_mut(), pusher),
+        |msg, pusher| visit(msg, rg, partition, &mut states.borrow_mut(), sent, pusher),
     )
 }
 
@@ -126,13 +143,14 @@ fn visit(
     rg: &RankGraph,
     partition: &BlockPartition,
     states: &mut VertexStates,
+    sent: &mut [Label],
     pusher: &mut Pusher<'_, VoronoiMsg>,
 ) {
     match msg {
         VoronoiMsg::Start(s) => {
             // A seed's own label `(0, index, -)` is final: weights are >= 1.
             let label = states.label(s);
-            relax_out_arcs(s, label, rg, partition, states, pusher);
+            relax_out_arcs(s, label, rg, partition, states, sent, pusher);
         }
         VoronoiMsg::Expand { target, label } => {
             if label != states.label(target) {
@@ -156,7 +174,7 @@ fn visit(
                     }
                 }
             }
-            relax_out_arcs(target, label, rg, partition, states, pusher);
+            relax_out_arcs(target, label, rg, partition, states, sent, pusher);
         }
         // A remote relaxation, or a replica update; priority-queue
         // reordering can deliver a newer (better) candidate first, in which
@@ -172,7 +190,7 @@ fn visit(
             pred_weight,
         } => {
             if states.try_improve(target, label, pred_weight) {
-                relax_out_arcs(target, label, rg, partition, states, pusher);
+                relax_out_arcs(target, label, rg, partition, states, sent, pusher);
             }
         }
     }
@@ -181,13 +199,15 @@ fn visit(
 /// Relaxes every outgoing arc of `v` that this rank holds, given `v`'s
 /// (just-updated) label: locally held targets are improved in place and
 /// pushed as an [`VoronoiMsg::Expand`] only if they improved; remote
-/// targets are shipped to their owner as a [`VoronoiMsg::Relax`].
+/// targets are shipped to their owner as a [`VoronoiMsg::Relax`] only if
+/// the candidate beats the best label already sent to them (`sent`).
 fn relax_out_arcs(
     v: Vertex,
     label: Label,
     rg: &RankGraph,
     partition: &BlockPartition,
     states: &mut VertexStates,
+    sent: &mut [Label],
     pusher: &mut Pusher<'_, VoronoiMsg>,
 ) {
     let mut relax = |target: Vertex, w: Weight, pusher: &mut Pusher<'_, VoronoiMsg>| {
@@ -199,14 +219,22 @@ fn relax_out_arcs(
         match states.try_improve_if_held(target, label, w) {
             Some(true) => pusher.push(pusher.rank(), VoronoiMsg::Expand { target, label }),
             Some(false) => {}
-            None => pusher.push(
-                partition.owner(target),
-                VoronoiMsg::Relax {
-                    target,
-                    label,
-                    pred_weight: w,
-                },
-            ),
+            None => {
+                let best_sent = &mut sent[rg
+                    .ghost_index(target)
+                    .expect("a remote arc target is a ghost")];
+                if label < *best_sent {
+                    *best_sent = label;
+                    pusher.push(
+                        partition.owner(target),
+                        VoronoiMsg::Relax {
+                            target,
+                            label,
+                            pred_weight: w,
+                        },
+                    );
+                }
+            }
         }
     };
     if rg.is_delegate(v) {

@@ -10,6 +10,12 @@
 //! [`partition_graph`] materializes per-rank subgraphs ([`RankGraph`]): each
 //! rank stores the full adjacency of its owned non-delegate vertices plus a
 //! round-robin slice of every delegate's adjacency.
+//!
+//! Each rank also records its *ghosts*: the targets of its local arcs
+//! whose state lives on another rank (neither owned here nor a delegate).
+//! They are the only vertices this rank ever sends a relaxation to, so
+//! per-ghost tables (the Voronoi phase's sent-label cache) stay
+//! proportional to the rank's cut, never to `|V|`.
 
 use crate::csr::{CsrGraph, Vertex, Weight};
 use std::ops::Range;
@@ -91,6 +97,8 @@ pub struct RankGraph {
     // This rank's round-robin share of every delegate's adjacency, in
     // delegate-list order (parallel to `delegates`).
     delegate_slices: Vec<Vec<(Vertex, Weight)>>,
+    // Sorted, deduplicated targets of local arcs whose state is remote.
+    ghosts: Vec<Vertex>,
 }
 
 impl RankGraph {
@@ -131,15 +139,49 @@ impl RankGraph {
             targets.push(v);
             weights.push(w);
         }
-        RankGraph {
+        RankGraph::assemble(
             rank,
             owned,
             delegates,
             offsets,
             targets,
             weights,
-            delegate_slices: delegate_arcs,
-        }
+            delegate_arcs,
+        )
+    }
+
+    /// Builds the struct from its storage and derives the ghost list —
+    /// the one place both constructors meet, so they cannot disagree.
+    fn assemble(
+        rank: usize,
+        owned: Range<Vertex>,
+        delegates: Arc<Vec<Vertex>>,
+        offsets: Vec<u64>,
+        targets: Vec<Vertex>,
+        weights: Vec<Weight>,
+        delegate_slices: Vec<Vec<(Vertex, Weight)>>,
+    ) -> Self {
+        let mut rg = RankGraph {
+            rank,
+            owned,
+            delegates,
+            offsets,
+            targets,
+            weights,
+            delegate_slices,
+            ghosts: Vec::new(),
+        };
+        let mut ghosts: Vec<Vertex> = rg
+            .targets
+            .iter()
+            .copied()
+            .chain(rg.delegate_slices.iter().flatten().map(|&(v, _)| v))
+            .filter(|&v| !rg.owns(v) && !rg.is_delegate(v))
+            .collect();
+        ghosts.sort_unstable();
+        ghosts.dedup();
+        rg.ghosts = ghosts;
+        rg
     }
 
     /// Whether this rank owns vertex `v`.
@@ -187,6 +229,20 @@ impl RankGraph {
         &self.delegate_slices[i]
     }
 
+    /// Sorted targets of local arcs whose state this rank does not hold
+    /// (not owned, not a delegate): every vertex this rank may relax
+    /// remotely.
+    pub fn ghosts(&self) -> &[Vertex] {
+        &self.ghosts
+    }
+
+    /// Position of `v` in [`RankGraph::ghosts`], or `None` if `v` is not
+    /// a ghost of this rank.
+    #[inline]
+    pub fn ghost_index(&self, v: Vertex) -> Option<usize> {
+        self.ghosts.binary_search(&v).ok()
+    }
+
     /// Number of arcs stored locally (owned adjacency + delegate slices).
     pub fn num_local_arcs(&self) -> usize {
         self.targets.len() + self.delegate_slices.iter().map(|s| s.len()).sum::<usize>()
@@ -202,6 +258,7 @@ impl RankGraph {
                 .iter()
                 .map(|s| s.len() * std::mem::size_of::<(Vertex, Weight)>())
                 .sum::<usize>()
+            + self.ghosts.len() * std::mem::size_of::<Vertex>()
     }
 
     /// Iterator over every arc `(u, v, w)` stored on this rank — owned
@@ -280,15 +337,15 @@ pub fn partition_graph(
                     .collect::<Vec<_>>()
             })
             .collect();
-        ranks.push(RankGraph {
+        ranks.push(RankGraph::assemble(
             rank,
             owned,
-            delegates: Arc::clone(&delegates),
+            Arc::clone(&delegates),
             offsets,
             targets,
             weights,
             delegate_slices,
-        });
+        ));
     }
     PartitionedGraph {
         partition,
@@ -394,5 +451,96 @@ mod tests {
             let o = pg.partition.owner(v);
             assert!(pg.ranks[o].owns(v));
         }
+    }
+
+    /// The same rank subgraphs rebuilt through `from_arcs`, fed the arcs
+    /// in reverse order (ingestion delivers them in any order).
+    fn via_from_arcs(g: &CsrGraph, pg: &PartitionedGraph) -> Vec<RankGraph> {
+        let p = pg.ranks.len();
+        (0..p)
+            .map(|rank| {
+                let owned = pg.partition.range(rank);
+                let mut owned_arcs: Vec<_> = owned
+                    .clone()
+                    .filter(|v| pg.delegates.binary_search(v).is_err())
+                    .flat_map(|u| g.edges(u).map(move |(v, w)| (u, v, w)))
+                    .collect();
+                owned_arcs.reverse();
+                let delegate_arcs = pg
+                    .delegates
+                    .iter()
+                    .map(|&d| {
+                        g.edges(d)
+                            .enumerate()
+                            .filter(|(i, _)| i % p == rank)
+                            .map(|(_, e)| e)
+                            .collect()
+                    })
+                    .collect();
+                RankGraph::from_arcs(
+                    rank,
+                    owned,
+                    Arc::clone(&pg.delegates),
+                    owned_arcs,
+                    delegate_arcs,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn both_constructors_build_identical_ghost_lists() {
+        // A star with a ring around its rim: the hub is a delegate at
+        // threshold 5, the rim arcs cross every rank boundary.
+        let n = 13;
+        let mut b = GraphBuilder::new(n);
+        for (u, v) in generators::star(n) {
+            b.add_edge(u, v, 1);
+        }
+        for v in 1..n as Vertex {
+            b.add_edge(v, 1 + v % (n as Vertex - 1), 2);
+        }
+        let g = b.build();
+        for threshold in [None, Some(5)] {
+            for p in [1, 2, 3, 4] {
+                let pg = partition_graph(&g, p, threshold);
+                let rebuilt = via_from_arcs(&g, &pg);
+                for (rg, other) in pg.ranks.iter().zip(&rebuilt) {
+                    let mut expected: Vec<Vertex> = rg
+                        .local_arcs()
+                        .map(|(_, v, _)| v)
+                        .filter(|&v| !rg.owns(v) && !rg.is_delegate(v))
+                        .collect();
+                    expected.sort_unstable();
+                    expected.dedup();
+                    assert_eq!(rg.ghosts(), expected.as_slice(), "p={p} {threshold:?}");
+                    assert_eq!(other.ghosts(), rg.ghosts(), "p={p} {threshold:?}");
+                    assert_eq!(other.memory_bytes(), rg.memory_bytes());
+                    for (i, &v) in rg.ghosts().iter().enumerate() {
+                        assert_eq!(rg.ghost_index(v), Some(i));
+                    }
+                }
+                if p == 1 {
+                    assert!(
+                        pg.ranks[0].ghosts().is_empty(),
+                        "one rank holds every state"
+                    );
+                }
+            }
+        }
+        // With the hub delegated, no rank lists it as a ghost.
+        let pg = partition_graph(&g, 3, Some(5));
+        assert!(pg.ranks.iter().all(|r| r.ghost_index(0).is_none()));
+    }
+
+    #[test]
+    fn memory_bytes_counts_the_ghost_list() {
+        let g = star_graph(9);
+        let rg = &partition_graph(&g, 2, None).ranks[1];
+        assert_eq!(rg.ghosts(), &[0]);
+        let storage = rg.offsets.len() * std::mem::size_of::<u64>()
+            + rg.targets.len() * std::mem::size_of::<Vertex>()
+            + rg.weights.len() * std::mem::size_of::<Weight>();
+        assert_eq!(rg.memory_bytes(), storage + std::mem::size_of::<Vertex>());
     }
 }

@@ -144,3 +144,34 @@ fn error_messages_are_informative() {
         .to_string()
         .contains("DP states"));
 }
+
+#[test]
+fn disconnected_error_names_seeds_in_different_components() {
+    // Islands {0, 1, 6, 7} and {2, 3, 4, 5}. The first and last seeds
+    // (0 and 6) share an island, so the pair the error names must not be
+    // them: it is seed 0 and the smallest seed cut off from it.
+    let mut b = GraphBuilder::new(8);
+    b.extend_edges([
+        (0, 1, 1),
+        (1, 7, 2),
+        (7, 6, 1),
+        (2, 3, 1),
+        (3, 4, 1),
+        (4, 5, 3),
+    ]);
+    let g = b.build();
+    for num_ranks in [1, 2, 4] {
+        for mst_mode in [steiner::MstMode::Replicated, steiner::MstMode::Dist] {
+            let cfg = SolverConfig {
+                num_ranks,
+                mst_mode,
+                ..SolverConfig::default()
+            };
+            assert_eq!(
+                solve(&g, &[6, 3, 0], &cfg).unwrap_err(),
+                SteinerError::SeedsDisconnected(0, 3),
+                "p={num_ranks} {mst_mode:?}"
+            );
+        }
+    }
+}

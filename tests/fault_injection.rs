@@ -24,10 +24,17 @@ use struntime::{run_traversal, AuditViolation, Comm, FaultPlan, QueueKind, World
 // Chaos matrix: faulted solves are bit-identical to fault-free ones.
 // ---------------------------------------------------------------------------
 
+/// Vertices of [`chaos_graph`]. The plans' decision streams are fixed by
+/// their seeds, so a solve must ship enough batches to reach an injecting
+/// draw: at this size every fault-free p >= 2 solve of the matrix ships at
+/// least 22 (64 vertices shipped as few as 5, and a plan could run out of
+/// batches before its first fault).
+const CHAOS_N: u32 = 2048;
+
 fn chaos_graph() -> stgraph::csr::CsrGraph {
     // Ring + chords: every partitioning has cross-rank edges, so drops
     // and duplicates land on real traffic at every rank count.
-    let n: u32 = 64;
+    let n = CHAOS_N;
     let mut b = stgraph::builder::GraphBuilder::new(n as usize);
     for i in 0..n {
         b.add_edge(i, (i + 1) % n, 1 + (i % 4) as u64);
@@ -38,10 +45,17 @@ fn chaos_graph() -> stgraph::csr::CsrGraph {
     b.build()
 }
 
+/// Seed positions given on a 64-vertex ring, scaled to [`CHAOS_N`] so the
+/// seeds, their Voronoi cell boundaries and the tree keep spanning every
+/// rank of the block partition at p = 2 and p = 4.
+fn chaos_seeds(on_64: &[stgraph::csr::Vertex]) -> Vec<stgraph::csr::Vertex> {
+    on_64.iter().map(|&s| s * CHAOS_N / 64).collect()
+}
+
 #[test]
 fn chaos_matrix_recovers_bit_identical_trees() {
     let g = chaos_graph();
-    let seeds: Vec<stgraph::csr::Vertex> = vec![0, 11, 22, 33, 44, 55];
+    let seeds = chaos_seeds(&[0, 11, 22, 33, 44, 55]);
     let plans = [
         "drop=0.2,seed=21",
         "dup=0.2,seed=22",
@@ -135,7 +149,7 @@ fn faulted_solve_reports_v3_counters() {
         faults: Some(plan),
         ..steiner::SolverConfig::default()
     };
-    let report = steiner::solve(&g, &[0, 20, 40], &cfg).expect("faulted solve");
+    let report = steiner::solve(&g, &chaos_seeds(&[0, 20, 40]), &cfg).expect("faulted solve");
     let doc = report.run_report().to_json();
     assert_eq!(
         doc.get("schema_version").and_then(|v| v.as_u64()),

@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the distance-graph phases: the sequential
-//! cross-cell reduction kernels and the dense vs chunked vs sparse global
-//! reduction (the §V-F memory/runtime trade-off).
+//! cross-cell reduction kernels, and the replicated pipeline's dense vs
+//! chunked global reduction (the §V-F memory/runtime trade-off) against
+//! the default distributed Borůvka MST.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use steiner::{solve_partitioned, ReduceModeConfig, SolverConfig};
+use steiner::{solve_partitioned, MstMode, ReduceMode, SolverConfig};
 use stgraph::datasets::Dataset;
 use stgraph::partition::partition_graph;
 
@@ -12,14 +13,16 @@ fn bench_reduce_modes(c: &mut Criterion) {
     let g = Dataset::Lvj.generate_tiny(11);
     let seeds = seeds::select(&g, 64, seeds::Strategy::BfsLevel, 1);
     let pg = partition_graph(&g, 2, None);
-    for (name, mode) in [
-        ("dense", ReduceModeConfig::Dense { chunk: None }),
-        ("chunked_256", ReduceModeConfig::Dense { chunk: Some(256) }),
-        ("sparse", ReduceModeConfig::Sparse),
+    let replicated = |chunk| (MstMode::Replicated, ReduceMode::Dense { chunk });
+    for (name, (mst_mode, reduce_mode)) in [
+        ("dense", replicated(None)),
+        ("chunked_256", replicated(Some(256))),
+        ("dist", (MstMode::Dist, SolverConfig::default().reduce_mode)),
     ] {
         let cfg = SolverConfig {
             num_ranks: 2,
-            reduce_mode: mode,
+            mst_mode,
+            reduce_mode,
             ..SolverConfig::default()
         };
         group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {

@@ -6,13 +6,14 @@
 //! jump at |S| = 10K comes from the `binom(|S|, 2)`-element distance-graph
 //! buffer, and chunked collectives reduce it at some runtime cost. Shapes
 //! to check: state memory grows superlinearly with |S| under the dense
-//! reduction; chunking caps the collective buffer; the sparse reduction is
-//! smaller still.
+//! reduction; chunking caps the collective buffer; the solver's default
+//! distributed Borůvka MST (`dist`), which never builds the pair buffer,
+//! is smaller still.
 //!
 //! Run: `cargo run -p bench --release --bin fig8_memory [--quick]`
 
 use bench::{banner, fmt_bytes, fmt_dur, load_dataset, pick_seeds, quick_mode, BenchReport, Table};
-use steiner::{solve_partitioned, ReduceModeConfig, SolverConfig};
+use steiner::{solve_partitioned, MstMode, ReduceMode, SolverConfig};
 use stgraph::datasets::Dataset;
 use stgraph::json::Json;
 use stgraph::partition::partition_graph;
@@ -20,7 +21,7 @@ use stgraph::partition::partition_graph;
 fn main() {
     banner(
         "Fig 8 — peak memory: graph vs algorithm states; chunked collectives",
-        "datasets: LVJ, CLW, WDC analogues; small vs large |S|; dense/chunked/sparse",
+        "datasets: LVJ, CLW, WDC analogues; small vs large |S|; dense/chunked/dist",
     );
     let (ranks, small_s, large_s) = if quick_mode() {
         (2, 20, 100)
@@ -43,19 +44,16 @@ fn main() {
         let pg = partition_graph(&g, ranks, None);
         for &k in &[small_s, large_s] {
             let seeds = pick_seeds(&g, k);
-            for (label, mode) in [
-                ("dense", ReduceModeConfig::Dense { chunk: None }),
-                (
-                    "chunked(64K)",
-                    ReduceModeConfig::Dense {
-                        chunk: Some(1 << 16),
-                    },
-                ),
-                ("sparse", ReduceModeConfig::Sparse),
+            let replicated = |chunk| (MstMode::Replicated, ReduceMode::Dense { chunk });
+            for (label, (mst_mode, reduce_mode)) in [
+                ("dense", replicated(None)),
+                ("chunked(64K)", replicated(Some(1 << 16))),
+                ("dist", (MstMode::Dist, SolverConfig::default().reduce_mode)),
             ] {
                 let cfg = SolverConfig {
                     num_ranks: ranks,
-                    reduce_mode: mode,
+                    mst_mode,
+                    reduce_mode,
                     ..SolverConfig::default()
                 };
                 let report = solve_partitioned(&pg, &seeds, &cfg).expect("seeds connected");

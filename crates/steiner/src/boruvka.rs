@@ -6,11 +6,13 @@
 //! growing with the seed count. This module is the Borůvka-style
 //! alternative (after arXiv:1610.04660 and the engineering in
 //! arXiv:2302.12199): ranks keep their [`local_min_edges`] candidate
-//! maps, and each round all-reduces only **one lightest-outgoing-edge
+//! lists, and each round all-reduces only **one lightest-outgoing-edge
 //! slot per live component** — `O(#components)` elements, shrinking
 //! geometrically — then merges components by hooking and pointer-jumping
-//! over the replicated parent array. The dense pair buffer never
-//! materializes anywhere.
+//! over the replicated parent array. Candidates that end up inside one
+//! component are dropped from the list as rounds go by. The dense pair
+//! buffer never materializes anywhere. This is the solver's default MST
+//! pipeline.
 //!
 //! ## Bit-identity with the replicated Prim path
 //!
@@ -40,7 +42,6 @@
 //! [`MinEdge`]: crate::distance_graph::MinEdge
 
 use crate::distance_graph::{MinEdge, PairKey};
-use std::collections::BTreeMap;
 use stgraph::csr::INF;
 use struntime::Comm;
 
@@ -104,7 +105,7 @@ fn find(parent: &[u32], mut i: u32) -> u32 {
 }
 
 /// Distributed Borůvka MST of the distance graph `G_1'`. Collective —
-/// every rank passes its own `local` candidate map (the
+/// every rank passes its own `local` candidate list (the
 /// [`local_min_edges`] output, *not* globally reduced) and all ranks
 /// return the identical chosen edge set, sorted by pair key, plus the
 /// per-round counters.
@@ -117,6 +118,10 @@ fn find(parent: &[u32], mut i: u32) -> u32 {
 /// `num_seeds - 1` edges, mirroring the replicated path's
 /// [`split_pair`](crate::mst::split_pair) failure.
 ///
+/// Each round drops, in place, the candidates whose endpoints already
+/// share a component, so the list shrinks with the component count.
+/// Slots are looked up by root in a flat index, never a map.
+///
 /// Peak memory under the `"distance_graph_boruvka"` label is one slot
 /// vector — `O(#components)` per round, at most `num_seeds` entries —
 /// never the dense `binom(|S|, 2)` buffer.
@@ -126,7 +131,7 @@ fn find(parent: &[u32], mut i: u32) -> u32 {
 /// [`mst_of_distance_graph`]: crate::mst::mst_of_distance_graph
 pub fn distributed_mst(
     comm: &Comm,
-    local: &BTreeMap<PairKey, MinEdge>,
+    mut local: Vec<(PairKey, MinEdge)>,
     num_seeds: usize,
 ) -> (Vec<(PairKey, MinEdge)>, BoruvkaStats) {
     let mut stats = BoruvkaStats::default();
@@ -138,39 +143,47 @@ pub fn distributed_mst(
     }
     let k = num_seeds as u32;
     let mut parent: Vec<u32> = (0..k).collect();
+    // Slot index of each live root in the current round.
+    let mut slot_of: Vec<u32> = vec![0; num_seeds];
     let mut chosen: Vec<(PairKey, MinEdge)> = Vec::new();
 
     loop {
         // Live roots in ascending order — the slot index space of this
         // round, identical on every rank.
-        let roots: Vec<u32> = (0..k).filter(|&i| parent[i as usize] == i).collect();
-        if roots.len() <= 1 {
+        let mut live = 0u32;
+        for i in 0..k {
+            if parent[i as usize] == i {
+                slot_of[i as usize] = live;
+                live += 1;
+            }
+        }
+        if live <= 1 {
             break;
         }
-        let slot_of: BTreeMap<u32, usize> =
-            roots.iter().enumerate().map(|(s, &r)| (r, s)).collect();
 
         let span = comm.trace_span("boruvka_round");
-        let slot_bytes = roots.len() * std::mem::size_of::<Cand>();
+        let slot_bytes = live as usize * std::mem::size_of::<Cand>();
         comm.memory().record("distance_graph_boruvka", slot_bytes);
-        let mut slots: Vec<Cand> = vec![UNSET_CAND; roots.len()];
+        let mut slots: Vec<Cand> = vec![UNSET_CAND; live as usize];
         // Offer every still-outgoing local candidate to both endpoint
-        // components' slots; the local fold plus the rank-ordered
-        // allreduce below compute the same global MIN regardless of how
-        // candidates are spread across ranks.
-        for (&(si, ti), e) in local {
-            let (ra, rb) = (find(&parent, si), find(&parent, ti));
+        // components' slots and drop the rest for good; the local fold
+        // plus the rank-ordered allreduce below compute the same global
+        // MIN regardless of how candidates are spread across ranks. The
+        // parent array is fully compressed here, so a root is one load.
+        local.retain(|&((si, ti), e)| {
+            let (ra, rb) = (parent[si as usize], parent[ti as usize]);
             if ra == rb {
-                continue;
+                return false;
             }
             let cand: Cand = (e.total, si, ti, e.a, e.b, e.weight);
             for r in [ra, rb] {
-                let s = slot_of[&r];
-                if cand < slots[s] {
-                    slots[s] = cand;
+                let s = &mut slots[slot_of[r as usize] as usize];
+                if cand < *s {
+                    *s = cand;
                 }
             }
-        }
+            true
+        });
         comm.allreduce_min(&mut slots);
         stats.edges_reduced.push(slots.len() as u64);
 
@@ -188,11 +201,20 @@ pub fn distributed_mst(
             }
             let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
             parent[hi as usize] = lo;
-            chosen.push(((si, ti), MinEdge { total, a, b, weight }));
+            chosen.push((
+                (si, ti),
+                MinEdge {
+                    total,
+                    a,
+                    b,
+                    weight,
+                },
+            ));
             merged += 1;
         }
-        // Pointer jumping to a rooted star, so the next round's `find`
-        // is O(1) and the live-root scan sees fully merged components.
+        // Pointer jumping to a rooted star, so the next round's root
+        // lookups are one load and the live-root scan sees fully merged
+        // components.
         loop {
             let mut changed = false;
             for i in 0..k as usize {
@@ -227,6 +249,7 @@ pub fn distributed_mst(
 mod tests {
     use super::*;
     use crate::distance_graph::pair_offset;
+    use std::collections::BTreeMap;
     use struntime::World;
 
     fn edge(total: u64, a: u32, b: u32, weight: u64) -> MinEdge {
@@ -239,14 +262,14 @@ mod tests {
     }
 
     /// The replicated reference pipeline over the union of all ranks'
-    /// candidate maps: per-pair MIN reduce, then Prim.
+    /// candidate lists: per-pair MIN reduce, then Prim.
     fn replicated_reference(
-        maps: &[BTreeMap<PairKey, MinEdge>],
+        lists: &[Vec<(PairKey, MinEdge)>],
         num_seeds: usize,
     ) -> Vec<(PairKey, MinEdge)> {
         let mut merged: BTreeMap<PairKey, MinEdge> = BTreeMap::new();
-        for m in maps {
-            for (&key, &e) in m {
+        for list in lists {
+            for &(key, e) in list {
                 let slot = merged.entry(key).or_insert(MinEdge::UNSET);
                 if e < *slot {
                     *slot = e;
@@ -266,20 +289,18 @@ mod tests {
         // extended to k = 2: k < 2 runs zero rounds and returns no
         // edges; k = 2 with one bridge converges in one round.
         for num_seeds in [0usize, 1] {
-            let out = World::run(2, move |comm| {
-                distributed_mst(comm, &BTreeMap::new(), num_seeds)
-            });
+            let out = World::run(2, move |comm| distributed_mst(comm, Vec::new(), num_seeds));
             for (chosen, stats) in &out.results {
                 assert!(chosen.is_empty(), "k={num_seeds}");
                 assert_eq!(stats.rounds, 0, "k={num_seeds}");
             }
         }
         let out = World::run(2, |comm| {
-            let mut local = BTreeMap::new();
+            let mut local = Vec::new();
             if comm.rank() == 1 {
-                local.insert((0u32, 1u32), edge(7, 3, 9, 2));
+                local.push(((0u32, 1u32), edge(7, 3, 9, 2)));
             }
-            distributed_mst(comm, &local, 2)
+            distributed_mst(comm, local, 2)
         });
         for (chosen, stats) in &out.results {
             assert_eq!(chosen.as_slice(), &[((0, 1), edge(7, 3, 9, 2))]);
@@ -315,11 +336,13 @@ mod tests {
                 *slot = *e;
             }
         }
-        let expect = replicated_reference(&maps, k);
+        let lists: Vec<Vec<(PairKey, MinEdge)>> =
+            maps.into_iter().map(|m| m.into_iter().collect()).collect();
+        let expect = replicated_reference(&lists, k);
         assert_eq!(expect.len(), k - 1, "reference spans all seeds");
-        let maps_ref = &maps;
+        let lists = &lists;
         let out = World::run(3, move |comm| {
-            distributed_mst(comm, &maps_ref[comm.rank()], k)
+            distributed_mst(comm, lists[comm.rank()].clone(), k)
         });
         for (chosen, stats) in &out.results {
             assert_eq!(chosen, &expect);
@@ -338,12 +361,12 @@ mod tests {
         // the loop must terminate (no outgoing edges) with fewer than
         // k-1 chosen edges, mirroring the replicated spans check.
         let out = World::run(2, |comm| {
-            let mut local = BTreeMap::new();
+            let mut local = Vec::new();
             if comm.rank() == 0 {
-                local.insert((0u32, 1u32), edge(3, 5, 6, 1));
-                local.insert((2u32, 3u32), edge(4, 7, 8, 2));
+                local.push(((0u32, 1u32), edge(3, 5, 6, 1)));
+                local.push(((2u32, 3u32), edge(4, 7, 8, 2)));
             }
-            distributed_mst(comm, &local, 4)
+            distributed_mst(comm, local, 4)
         });
         for (chosen, stats) in &out.results {
             assert_eq!(chosen.len(), 2);
@@ -357,24 +380,27 @@ mod tests {
         // The acceptance criterion: the per-round reduction footprint
         // under `distance_graph_boruvka` peaks at one slot per live
         // component (k slots in round one), strictly below the dense
-        // `binom(k, 2)` MinEdge buffer, and the dense/sparse labels of
-        // the replicated path are never touched.
+        // `binom(k, 2)` MinEdge buffer, and the dense label of the
+        // replicated path is never touched.
         let k = 24usize;
         let out = World::run(2, move |comm| {
-            let mut local = BTreeMap::new();
+            let mut local = Vec::new();
             // A path 0-1-2-...-(k-1) plus heavier chords.
             for i in 0..k as u32 - 1 {
-                local.insert((i, i + 1), edge(2 + u64::from(i % 3), 100 + i, 200 + i, 1));
+                local.push(((i, i + 1), edge(2 + u64::from(i % 3), 100 + i, 200 + i, 1)));
             }
             for i in 0..k as u32 - 2 {
-                local.insert((i, i + 2), edge(50 + u64::from(i), 300 + i, 400 + i, 9));
+                local.push(((i, i + 2), edge(50 + u64::from(i), 300 + i, 400 + i, 9)));
             }
-            let (chosen, stats) = distributed_mst(comm, &local, k);
+            let (chosen, stats) = distributed_mst(comm, local, k);
             (chosen.len(), stats, comm.memory().peaks())
         });
         let dense_bytes = k * (k - 1) / 2 * std::mem::size_of::<MinEdge>();
         // Sanity: the dense offset space really is binom(k, 2)-sized.
-        assert_eq!(pair_offset(k, (k - 2) as u32, (k - 1) as u32) + 1, k * (k - 1) / 2);
+        assert_eq!(
+            pair_offset(k, (k - 2) as u32, (k - 1) as u32) + 1,
+            k * (k - 1) / 2
+        );
         for (chosen_len, stats, peaks) in &out.results {
             assert_eq!(*chosen_len, k - 1);
             let peak = peaks["distance_graph_boruvka"];
@@ -389,7 +415,6 @@ mod tests {
                  buffer ({dense_bytes} B)"
             );
             assert!(!peaks.contains_key("distance_graph_dense"));
-            assert!(!peaks.contains_key("distance_graph_sparse"));
             // Round counters line up with the geometric shrink.
             assert_eq!(stats.rounds as usize, stats.edges_reduced.len());
             assert_eq!(stats.rounds as usize, stats.components.len());

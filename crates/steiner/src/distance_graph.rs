@@ -9,10 +9,11 @@
 //! edge only (see *One probe per cut edge* below). Cells are identified by
 //! seed index (the labels' `src`), so a cell pair `(si, ti)` is found
 //! without any vertex-to-index map; see [`local_min_edges`] for the
-//! per-cell candidate buckets. Global minima are then found
-//! with an `Allreduce(MIN)` — dense (the paper's `binom(|S|, 2)` buffer,
-//! optionally chunked to bound memory, §V-F) or sparse (map-merge, the
-//! memory-friendly alternative the suite defaults to for large seed sets).
+//! per-cell candidate buckets, returned as one flat list sorted by pair.
+//! The default `--mst dist` pipeline feeds that list straight into the
+//! Borůvka rounds ([`crate::boruvka`]); the replicated pipeline finds the
+//! global minima with the paper's dense `binom(|S|, 2)` `Allreduce(MIN)`
+//! (optionally chunked to bound the collective slot, §V-F).
 //!
 //! ## One probe per cut edge
 //!
@@ -39,7 +40,6 @@
 
 use crate::messages::ProbeMsg;
 use crate::state::{Label, VertexStates, NO_VERTEX};
-use std::collections::BTreeMap;
 use stgraph::csr::{Distance, Vertex, Weight, INF};
 use stgraph::partition::{BlockPartition, RankGraph};
 use struntime::{run_traversal, ChannelGroup, Comm, QueueKind};
@@ -76,7 +76,7 @@ impl MinEdge {
 /// Seed-index pair `(si, ti)` with `si < ti`, keys of the distance graph.
 pub type PairKey = (u32, u32);
 
-/// How the global reduction is performed.
+/// How the replicated pipeline's global reduction is performed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReduceMode {
     /// Dense `binom(|S|, 2)` buffer with `Allreduce(MIN)` — the paper's
@@ -84,27 +84,27 @@ pub enum ReduceMode {
     /// the exchange proceeds `chunk` elements at a time, so the slot
     /// clone rank 0 hosts stays one chunk long — but the rank-local
     /// `binom(|S|, 2)` buffer is still fully materialized regardless
-    /// (`None` = one shot, slot as large as the buffer). Use
-    /// [`ReduceMode::Sparse`] — or the solver's `--mst dist` Borůvka
-    /// mode, which skips this reduction entirely — when the *local*
-    /// footprint is the ceiling.
+    /// (`None` = one shot, slot as large as the buffer). The solver's
+    /// default `--mst dist` Borůvka mode skips this reduction entirely.
     Dense {
         /// Elements per collective chunk (§V-F slot-memory optimization).
         chunk: Option<usize>,
     },
-    /// Sparse map-merge reduction; memory proportional to the number of
-    /// *populated* cell pairs.
-    Sparse,
 }
 
-/// Local phase: returns this rank's best candidate per cell pair plus the
-/// traversal stats. Collective (runs a traversal).
+/// Local phase: returns this rank's best candidate per cell pair, sorted
+/// by pair key, plus the traversal stats. Collective (runs a traversal).
 ///
 /// Cells are keyed by seed index, which a label already carries in its
 /// `src`, so a cross-cell arc costs no lookup beyond the two labels.
 /// Candidates are collected per smaller seed index `si`, each bucket a
 /// short list of `(ti, best)` searched linearly (a cell borders about ten
 /// others on the dataset analogues), and emitted in `(si, ti)` order.
+///
+/// An edge whose endpoints are both owned non-delegates of this rank is
+/// stored as two arcs offering the same candidate, so only the arc from
+/// its smaller endpoint is evaluated. Arcs with a delegate endpoint keep
+/// both orientations: a delegate's arcs are spread over all ranks.
 pub fn local_min_edges(
     comm: &Comm,
     chan: &ChannelGroup<Vec<ProbeMsg>>,
@@ -112,7 +112,7 @@ pub fn local_min_edges(
     partition: &BlockPartition,
     states: &VertexStates,
     num_seeds: usize,
-) -> (BTreeMap<PairKey, MinEdge>, struntime::TraversalStats) {
+) -> (Vec<(PairKey, MinEdge)>, struntime::TraversalStats) {
     let mut buckets: Vec<Vec<(u32, MinEdge)>> = vec![Vec::new(); num_seeds];
 
     let stats = run_traversal(
@@ -123,9 +123,14 @@ pub fn local_min_edges(
         [ProbeMsg::Scan],
         |msg, pusher| match msg {
             ProbeMsg::Scan => {
+                // `u`'s label and kind, read once per source vertex.
+                let (mut at, mut lu, mut plain_u) = (NO_VERTEX, Label::UNSET, false);
                 for (u, v, w) in rg.local_arcs() {
-                    let lu = states.label(u);
-                    if lu.src == NO_VERTEX {
+                    if u != at {
+                        (at, lu, plain_u) = (u, states.label(u), !rg.is_delegate(u));
+                    }
+                    if lu.src == NO_VERTEX || (plain_u && v < u && rg.owns(v) && !rg.is_delegate(v))
+                    {
                         continue;
                     }
                     match states.label_if_held(v) {
@@ -155,14 +160,13 @@ pub fn local_min_edges(
             } => record_candidate(&mut buckets, u, u_src, u_dist, v, states.label(v), weight),
         },
     );
-    let local = buckets
-        .into_iter()
-        .enumerate()
-        .flat_map(|(si, mut bucket)| {
-            bucket.sort_unstable_by_key(|&(ti, _)| ti);
-            bucket.into_iter().map(move |(ti, e)| ((si as u32, ti), e))
-        })
-        .collect();
+    // Sized up front: growing by doubling briefly holds up to three
+    // times the list, which showed in the process's peak RSS.
+    let mut local = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
+    for (si, mut bucket) in buckets.into_iter().enumerate() {
+        bucket.sort_unstable_by_key(|&(ti, _)| ti);
+        local.extend(bucket.into_iter().map(|(ti, e)| ((si as u32, ti), e)));
+    }
     (local, stats)
 }
 
@@ -210,11 +214,11 @@ fn record_candidate(
     }
 }
 
-/// Global phase: reduces per-rank candidate maps to the cluster-wide
+/// Global phase: reduces the per-rank candidate lists to the cluster-wide
 /// distance graph `G_1'`, as a sorted pair list. Collective.
 pub fn global_min_edges(
     comm: &Comm,
-    local: BTreeMap<PairKey, MinEdge>,
+    local: Vec<(PairKey, MinEdge)>,
     num_seeds: usize,
     mode: ReduceMode,
 ) -> Vec<(PairKey, MinEdge)> {
@@ -227,67 +231,41 @@ pub fn global_min_edges(
     if num_seeds < 2 {
         return Vec::new();
     }
-    match mode {
-        ReduceMode::Dense { chunk } => {
-            let len = num_seeds * (num_seeds - 1) / 2;
+    let ReduceMode::Dense { chunk } = mode;
+    let len = num_seeds * (num_seeds - 1) / 2;
+    comm.memory()
+        .record("distance_graph_dense", len * std::mem::size_of::<MinEdge>());
+    let mut buf = vec![MinEdge::UNSET; len];
+    for ((si, ti), e) in local {
+        buf[pair_offset(num_seeds, si, ti)] = e;
+    }
+    match chunk {
+        Some(c) => {
+            // The chunked exchange's bounded footprint gets its own
+            // label, so the watermark separates the full-size local
+            // buffer (above) from the one-chunk collective slot §V-F
+            // actually bounds.
+            let slot_bytes = c.min(len) * std::mem::size_of::<MinEdge>();
             comm.memory()
-                .record("distance_graph_dense", len * std::mem::size_of::<MinEdge>());
-            let mut buf = vec![MinEdge::UNSET; len];
-            for (&(si, ti), &e) in &local {
-                buf[pair_offset(num_seeds, si, ti)] = e;
-            }
-            match chunk {
-                Some(c) => {
-                    // The chunked exchange's bounded footprint gets its
-                    // own label, so the watermark separates the full-size
-                    // local buffer (above) from the one-chunk collective
-                    // slot §V-F actually bounds.
-                    let slot_bytes = c.min(len) * std::mem::size_of::<MinEdge>();
-                    comm.memory().record("distance_graph_dense_slot", slot_bytes);
-                    comm.allreduce_chunked(&mut buf, c, min_combine);
-                    comm.memory()
-                        .release("distance_graph_dense_slot", slot_bytes);
-                }
-                None => comm.allreduce(&mut buf, min_combine),
-            }
-            let mut out = Vec::new();
-            for si in 0..num_seeds as u32 {
-                for ti in (si + 1)..num_seeds as u32 {
-                    let e = buf[pair_offset(num_seeds, si, ti)];
-                    if e.total != INF {
-                        out.push(((si, ti), e));
-                    }
-                }
-            }
+                .record("distance_graph_dense_slot", slot_bytes);
+            comm.allreduce_chunked(&mut buf, c, min_combine);
             comm.memory()
-                .release("distance_graph_dense", len * std::mem::size_of::<MinEdge>());
-            out
+                .release("distance_graph_dense_slot", slot_bytes);
         }
-        ReduceMode::Sparse => {
-            let map_bytes = local.len() * std::mem::size_of::<(PairKey, MinEdge)>();
-            comm.memory().record("distance_graph_sparse", map_bytes);
-            let mut wrapped = vec![local];
-            comm.allreduce(&mut wrapped, |acc, other| {
-                for (&k, &e) in other {
-                    let slot = acc.entry(k).or_insert(MinEdge::UNSET);
-                    if e < *slot {
-                        *slot = e;
-                    }
-                }
-            });
-            let out = wrapped
-                .pop()
-                .expect("wrapped vec has one element")
-                .into_iter()
-                .collect();
-            // Settle the label once the exchange is done (the Dense arm
-            // releases symmetrically above); leaving it recorded kept
-            // `current("distance_graph_sparse")` inflated through every
-            // later phase, skewing Fig 8 attribution.
-            comm.memory().release("distance_graph_sparse", map_bytes);
-            out
+        None => comm.allreduce(&mut buf, min_combine),
+    }
+    let mut out = Vec::new();
+    for si in 0..num_seeds as u32 {
+        for ti in (si + 1)..num_seeds as u32 {
+            let e = buf[pair_offset(num_seeds, si, ti)];
+            if e.total != INF {
+                out.push(((si, ti), e));
+            }
         }
     }
+    comm.memory()
+        .release("distance_graph_dense", len * std::mem::size_of::<MinEdge>());
+    out
 }
 
 fn min_combine(a: &mut MinEdge, b: &MinEdge) {
@@ -358,13 +336,10 @@ mod tests {
         // panicked) for k == 0. Both degenerate counts must return an
         // empty distance graph in every reduce mode.
         for num_seeds in [0usize, 1] {
-            for mode in [
-                ReduceMode::Dense { chunk: None },
-                ReduceMode::Dense { chunk: Some(4) },
-                ReduceMode::Sparse,
-            ] {
+            for chunk in [None, Some(4)] {
+                let mode = ReduceMode::Dense { chunk };
                 let out = struntime::World::run(2, move |comm| {
-                    global_min_edges(comm, BTreeMap::new(), num_seeds, mode)
+                    global_min_edges(comm, Vec::new(), num_seeds, mode)
                 });
                 for edges in &out.results {
                     assert!(edges.is_empty(), "k={num_seeds}, mode={mode:?}");
@@ -374,53 +349,12 @@ mod tests {
     }
 
     #[test]
-    fn sparse_reduce_releases_its_memory_label() {
-        // Regression: the Sparse arm recorded `distance_graph_sparse`
-        // but never released it, so the label stayed inflated for every
-        // later phase. After the reduce the current bytes must be zero
-        // (peak still witnesses the exchange).
-        let out = struntime::World::run(2, |comm| {
-            let mut local = BTreeMap::new();
-            local.insert(
-                (0u32, 1u32),
-                MinEdge {
-                    total: 5 + comm.rank() as u64,
-                    a: 1,
-                    b: 2,
-                    weight: 3,
-                },
-            );
-            local.insert(
-                (1u32, 2u32),
-                MinEdge {
-                    total: 7,
-                    a: 4,
-                    b: 5,
-                    weight: 2,
-                },
-            );
-            let dg = global_min_edges(comm, local, 3, ReduceMode::Sparse);
-            (
-                dg.len(),
-                comm.memory().current("distance_graph_sparse"),
-                comm.memory().peaks()["distance_graph_sparse"],
-            )
-        });
-        for &(len, current, peak) in &out.results {
-            assert_eq!(len, 2);
-            assert_eq!(current, 0, "sparse label must be released post-reduce");
-            assert!(peak > 0, "peak still records the exchange footprint");
-        }
-    }
-
-    #[test]
     fn chunked_dense_reduce_accounts_the_slot_separately() {
         // Satellite of the Dense doc fix: the chunked exchange charges
         // its bounded one-chunk footprint to its own label, distinct
         // from the full-size local buffer, and settles it afterwards.
         let out = struntime::World::run(2, |comm| {
-            let mut local = BTreeMap::new();
-            local.insert(
+            let local = vec![(
                 (0u32, 3u32),
                 MinEdge {
                     total: 9,
@@ -428,7 +362,7 @@ mod tests {
                     b: 9,
                     weight: 4,
                 },
-            );
+            )];
             let dg = global_min_edges(comm, local, 5, ReduceMode::Dense { chunk: Some(2) });
             (
                 dg.len(),

@@ -12,10 +12,12 @@
 //!    seeds at once, with optional priority message queues (Alg 4);
 //! 2. **Local min-distance edges** ([`distance_graph`]) — edge-centric scan
 //!    for the cheapest cross-cell bridges (Alg 5);
-//! 3. **Global reduction** — `Allreduce(MIN)` over the distance-graph
-//!    buffer, dense/chunked or sparse;
+//! 3. **Global reduction** — `Allreduce(MIN)` over the dense
+//!    distance-graph buffer, optionally chunked;
 //! 4. **Sequential MST** ([`mst`]) of the small distance graph `G_1'`,
-//!    replicated on every rank;
+//!    replicated on every rank (steps 3–4 are [`MstMode::Replicated`];
+//!    the default [`MstMode::Dist`] runs distributed Borůvka rounds,
+//!    [`boruvka`], instead, for a bit-identical tree);
 //! 5. **Edge pruning** — keep only bridges chosen by the MST;
 //! 6. **Tree edges** ([`tree_edges`]) — trace predecessor chains back to
 //!    the seeds (Alg 6).
@@ -62,7 +64,9 @@ pub use struntime::{
     TelemetryConfig, TelemetryDump, TraceConfig, TraceDump,
 };
 
-use distance_graph::{MinEdge, PairKey, ReduceMode};
+pub use distance_graph::ReduceMode;
+
+use distance_graph::{MinEdge, PairKey};
 use state::VertexStates;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -74,51 +78,20 @@ use stgraph::steiner_tree::SteinerTree;
 use struntime::FailureReason;
 use struntime::{Comm, PersistentWorld, PhaseSnapshot, RunOutput, World, WorldConfig};
 
-/// How the distance-graph reduction buffer is organized.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReduceModeConfig {
-    /// Dense below 256 seeds (chunked at 1M elements), sparse above.
-    Auto,
-    /// Force the paper's dense `binom(|S|, 2)` buffer.
-    Dense {
-        /// Optional chunk size for the §V-F memory optimization.
-        chunk: Option<usize>,
-    },
-    /// Force the sparse map-merge reduction.
-    Sparse,
-}
-
-impl ReduceModeConfig {
-    fn resolve(self, num_seeds: usize) -> ReduceMode {
-        match self {
-            ReduceModeConfig::Auto => {
-                if num_seeds <= 256 {
-                    ReduceMode::Dense {
-                        chunk: Some(1 << 20),
-                    }
-                } else {
-                    ReduceMode::Sparse
-                }
-            }
-            ReduceModeConfig::Dense { chunk } => ReduceMode::Dense { chunk },
-            ReduceModeConfig::Sparse => ReduceMode::Sparse,
-        }
-    }
-}
-
 /// How the `global_min_edge` + `mst` phases compute the MST of `G_1'`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MstMode {
     /// The paper's Alg 3 Step 3: `Allreduce(MIN)` replicates the full
-    /// distance graph on every rank (dense or sparse per
-    /// [`ReduceModeConfig`]), then each rank runs Prim sequentially.
+    /// distance graph on every rank in the dense `binom(|S|, 2)` buffer
+    /// laid out per [`ReduceMode`], then each rank runs Prim
+    /// sequentially. Kept as the paper reference (Fig 8, Table I).
     Replicated,
-    /// Distributed Borůvka ([`boruvka`]): each round all-reduces one
-    /// lightest-outgoing-edge slot per live component (`O(#components)`,
-    /// shrinking geometrically) and merges via pointer jumping — the
-    /// `binom(|S|, 2)` buffer never materializes. The chosen tree is
-    /// bit-identical to [`MstMode::Replicated`]; `reduce_mode` is unused
-    /// in this mode.
+    /// Distributed Borůvka ([`boruvka`], the default): each round
+    /// all-reduces one lightest-outgoing-edge slot per live component
+    /// (`O(#components)`, shrinking geometrically) and merges via pointer
+    /// jumping — the `binom(|S|, 2)` buffer never materializes. The
+    /// chosen tree is bit-identical to [`MstMode::Replicated`];
+    /// `reduce_mode` is unused in this mode.
     Dist,
 }
 
@@ -136,10 +109,11 @@ pub struct SolverConfig {
     /// (HavoqGT vertex-cut). `None` disables delegation.
     pub delegate_threshold: Option<usize>,
     /// Distance-graph reduction layout (replicated MST mode only).
-    pub reduce_mode: ReduceModeConfig,
+    /// Default dense, exchanged in chunks of 1M elements.
+    pub reduce_mode: ReduceMode,
     /// MST execution mode for the `global_min_edge` + `mst` phases:
-    /// replicated Prim (the paper's Alg 3 Step 3, the default) or
-    /// distributed Borůvka rounds (`--mst dist`, see [`boruvka`]). Both
+    /// distributed Borůvka rounds (`--mst dist`, see [`boruvka`], the
+    /// default) or replicated Prim (the paper's Alg 3 Step 3). Both
     /// produce bit-identical trees.
     pub mst_mode: MstMode,
     /// Apply the optional KMB steps 4–5 refinement to the output tree.
@@ -199,8 +173,10 @@ impl Default for SolverConfig {
             num_ranks: 4,
             queue: QueueKind::Priority,
             delegate_threshold: None,
-            reduce_mode: ReduceModeConfig::Auto,
-            mst_mode: MstMode::Replicated,
+            reduce_mode: ReduceMode::Dense {
+                chunk: Some(1 << 20),
+            },
+            mst_mode: MstMode::Dist,
             refine: false,
             batch_size: struntime::traversal::DEFAULT_BATCH_SIZE,
             trace: TraceConfig::Off,
@@ -231,7 +207,10 @@ pub struct SolveReport {
     pub graph_bytes: usize,
     /// Peak algorithm-state bytes across all ranks (Fig 8 "states").
     pub state_peak_bytes: usize,
-    /// Number of edges in the reduced distance graph `G_1'`.
+    /// Number of edges in the reduced distance graph `G_1'` under
+    /// [`MstMode::Replicated`]. Under [`MstMode::Dist`] `G_1'` is never
+    /// materialized, and this counts the chosen bridges (`|S| - 1` on a
+    /// spanning solve).
     pub distance_graph_edges: usize,
     /// Visitors processed per rank, summed over the asynchronous phases —
     /// the simulation's work metric.
@@ -374,7 +353,6 @@ pub fn solve_partitioned(
     let seeds = check_seeds_against(pg.partition.num_vertices(), seeds)?;
     let p = pg.ranks.len();
     assert_eq!(p, config.num_ranks, "partition/config rank mismatch");
-    let reduce_mode = config.reduce_mode.resolve(seeds.len());
 
     // Phase retry policy: with active fault injection, a phase-level
     // failure (a disconnected distance graph that a fault-free run would
@@ -414,7 +392,7 @@ pub fn solve_partitioned(
                 pg,
                 &seeds,
                 config.queue,
-                reduce_mode,
+                config.reduce_mode,
                 config.mst_mode,
                 config.batch_size,
                 if recovery_armed {
@@ -509,7 +487,7 @@ pub fn solve_on(
     assert_eq!(p, config.num_ranks, "partition/config rank mismatch");
     assert_eq!(p, world.num_ranks(), "world/config rank mismatch");
     let seeds = check_seeds_against(pg.partition.num_vertices(), seeds)?;
-    let reduce_mode = config.reduce_mode.resolve(seeds.len());
+    let reduce_mode = config.reduce_mode;
     let queue = config.queue;
     let mst_mode = config.mst_mode;
     let batch_size = config.batch_size;
@@ -701,7 +679,7 @@ fn rank_main(
     let mut times = PhaseTimes::default();
     let mut processed = 0u64;
     let mut stale_dropped = 0u64;
-    let mut local: Option<BTreeMap<PairKey, MinEdge>> = None;
+    let mut local: Option<Vec<(PairKey, MinEdge)>> = None;
     let mut dg: Option<Vec<(PairKey, MinEdge)>> = None;
     let mut chosen: Option<Vec<usize>> = None;
     let mut dg_len = 0usize;
@@ -718,7 +696,7 @@ fn rank_main(
         times = ck.times();
         processed = ck.processed;
         stale_dropped = ck.stale_dropped;
-        local = ck.local.map(|v| v.into_iter().collect());
+        local = ck.local;
         dg_len = ck.dg_len;
         dg = ck.dg;
         chosen = ck.chosen;
@@ -798,7 +776,6 @@ fn rank_main(
         times[Phase::LocalMinEdge] = t.elapsed();
         processed += probe_stats.processed;
         if let Some(store) = store {
-            let local_vec: Vec<(PairKey, MinEdge)> = l.iter().map(|(&k, &v)| (k, v)).collect();
             put_checkpoint(
                 comm,
                 store,
@@ -807,7 +784,7 @@ fn rank_main(
                 &times,
                 processed,
                 stale_dropped,
-                Some(&local_vec),
+                Some(&l),
                 None,
                 None,
                 0,
@@ -859,7 +836,7 @@ fn rank_main(
                 dg = Some(d);
             }
             MstMode::Dist => {
-                let (keyed, stats) = boruvka::distributed_mst(comm, &l, seeds.len());
+                let (keyed, stats) = boruvka::distributed_mst(comm, l, seeds.len());
                 comm.telemetry_gauge("distance_graph_edges", keyed.len() as u64);
                 drop(span);
                 times[Phase::GlobalMinEdge] = t.elapsed();
@@ -1210,8 +1187,14 @@ mod tests {
         let g = stgraph::datasets::Dataset::Cts.generate_tiny(47);
         let cc = stgraph::traversal::connected_components(&g);
         let verts = cc.largest_component_vertices();
+        // The replicated pipeline's own checkpoints (distance graph, MST
+        // choices); the dist ones are covered below.
+        let replicated = SolverConfig {
+            mst_mode: MstMode::Replicated,
+            ..config(3)
+        };
         let seeds: Vec<Vertex> = verts.iter().step_by(verts.len() / 5).copied().collect();
-        let clean = solve(&g, &seeds, &config(3)).unwrap();
+        let clean = solve(&g, &seeds, &replicated).unwrap();
         for phase in Phase::ALL {
             let spec = format!(
                 "crash_rank=1,crash_at_sync=2,crash_phase={},seed=19",
@@ -1219,7 +1202,7 @@ mod tests {
             );
             let cfg = SolverConfig {
                 faults: Some(FaultPlan::from_spec(&spec).unwrap()),
-                ..config(3)
+                ..replicated
             };
             let r = solve(&g, &seeds, &cfg).unwrap();
             assert_eq!(r.tree, clean.tree, "phase {}", phase.name());
@@ -1387,14 +1370,12 @@ mod tests {
         let verts = cc.largest_component_vertices();
         let seeds: Vec<Vertex> = verts.iter().step_by(verts.len() / 9).copied().collect();
         let mut cfg = config(3);
-        cfg.reduce_mode = ReduceModeConfig::Dense { chunk: None };
+        cfg.mst_mode = MstMode::Replicated;
+        cfg.reduce_mode = ReduceMode::Dense { chunk: None };
         let dense = solve(&g, &seeds, &cfg).unwrap();
-        cfg.reduce_mode = ReduceModeConfig::Dense { chunk: Some(4) };
+        cfg.reduce_mode = ReduceMode::Dense { chunk: Some(4) };
         let chunked = solve(&g, &seeds, &cfg).unwrap();
-        cfg.reduce_mode = ReduceModeConfig::Sparse;
-        let sparse = solve(&g, &seeds, &cfg).unwrap();
         assert_eq!(dense.tree, chunked.tree);
-        assert_eq!(dense.tree, sparse.tree);
     }
 
     #[test]
@@ -1406,7 +1387,11 @@ mod tests {
         let cc = stgraph::traversal::connected_components(&g);
         let verts = cc.largest_component_vertices();
         let seeds: Vec<Vertex> = verts.iter().step_by(verts.len() / 7).copied().collect();
-        let reference = solve(&g, &seeds, &config(1)).unwrap();
+        let replicated = SolverConfig {
+            mst_mode: MstMode::Replicated,
+            ..config(1)
+        };
+        let reference = solve(&g, &seeds, &replicated).unwrap();
         assert!(reference.boruvka.is_none(), "replicated reports no rounds");
         for p in [1, 2, 4] {
             let cfg = SolverConfig {
@@ -1436,7 +1421,11 @@ mod tests {
         let cc = stgraph::traversal::connected_components(&g);
         let verts = cc.largest_component_vertices();
         let seeds: Vec<Vertex> = verts.iter().step_by(verts.len() / 5).copied().collect();
-        let clean = solve(&g, &seeds, &config(3)).unwrap();
+        let replicated = SolverConfig {
+            mst_mode: MstMode::Replicated,
+            ..config(3)
+        };
+        let clean = solve(&g, &seeds, &replicated).unwrap();
         for phase in Phase::ALL {
             let spec = format!(
                 "crash_rank=1,crash_at_sync=2,crash_phase={},seed=23",

@@ -143,7 +143,7 @@ proptest! {
                 QueueKind::Bucketed { delta: crate::auto_delta(&g) },
             ] {
                 let reference = solve(&g, &seeds, &SolverConfig {
-                    num_ranks: p, queue, ..SolverConfig::default()
+                    num_ranks: p, queue, mst_mode: MstMode::Replicated, ..SolverConfig::default()
                 }).unwrap();
                 for plan in fault_plans {
                     let r = solve(&g, &seeds, &SolverConfig {
@@ -186,22 +186,24 @@ proptest! {
 
     /// Rank count, queue discipline, and delegation never change the tree:
     /// the (dist, src, pred) fixpoint is deterministic, and so is the
-    /// distance graph built from it.
+    /// distance graph built from it. The replicated pipeline is used
+    /// because it materializes `G_1'`, whose size is compared below.
     #[test]
     fn solver_is_configuration_invariant(
         (g, seeds) in arb_connected_instance(16, 20, 5),
         thresh in proptest::option::of(2usize..8),
     ) {
-        let reference = solve(&g, &seeds, &SolverConfig {
-            num_ranks: 1, ..SolverConfig::default()
-        }).unwrap();
+        let replicated = SolverConfig {
+            num_ranks: 1, mst_mode: crate::MstMode::Replicated, ..SolverConfig::default()
+        };
+        let reference = solve(&g, &seeds, &replicated).unwrap();
         for p in [2usize, 4] {
             for queue in [QueueKind::Fifo, QueueKind::Priority] {
                 let cfg = SolverConfig {
                     num_ranks: p,
                     queue,
                     delegate_threshold: thresh,
-                    ..SolverConfig::default()
+                    ..replicated
                 };
                 let r = solve(&g, &seeds, &cfg).unwrap();
                 prop_assert_eq!(&r.tree, &reference.tree,

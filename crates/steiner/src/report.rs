@@ -21,7 +21,7 @@
 //! - Durations are integer microseconds (`*_us`), sizes integer bytes.
 
 use crate::phases::Phase;
-use crate::{ReduceModeConfig, SolveReport, SolverConfig};
+use crate::{ReduceMode, SolveReport, SolverConfig};
 use stgraph::json::Json;
 use struntime::{Gauge, QueueKind, TelemetryDump};
 
@@ -87,8 +87,8 @@ pub struct ConfigFingerprint {
     pub queue: String,
     /// Delegate degree threshold, if delegation was on.
     pub delegate_threshold: Option<usize>,
-    /// Reduction layout (`"auto"`, `"dense"`, `"dense(chunk=N)"`,
-    /// `"sparse"`).
+    /// Reduction layout of the replicated pipeline (`"dense"`,
+    /// `"dense(chunk=N)"`).
     pub reduce_mode: String,
     /// MST pipeline (`"replicated"` Prim or `"dist"` Borůvka; v7).
     pub mst_mode: String,
@@ -111,10 +111,8 @@ impl ConfigFingerprint {
             QueueKind::Adversarial { seed } => format!("adversarial:{seed}"),
         };
         let reduce_mode = match config.reduce_mode {
-            ReduceModeConfig::Auto => "auto".to_string(),
-            ReduceModeConfig::Dense { chunk: None } => "dense".to_string(),
-            ReduceModeConfig::Dense { chunk: Some(c) } => format!("dense(chunk={c})"),
-            ReduceModeConfig::Sparse => "sparse".to_string(),
+            ReduceMode::Dense { chunk: None } => "dense".to_string(),
+            ReduceMode::Dense { chunk: Some(c) } => format!("dense(chunk={c})"),
         };
         let mst_mode = match config.mst_mode {
             crate::MstMode::Replicated => "replicated".to_string(),
@@ -202,7 +200,8 @@ pub struct RunReport {
     pub graph_bytes: usize,
     /// Peak algorithm-state bytes across all ranks (Fig 8 "states").
     pub state_peak_bytes: usize,
-    /// Edges in the reduced distance graph `G_1'`.
+    /// Edges in the reduced distance graph `G_1'` (`"replicated"`); the
+    /// chosen bridges under `"dist"`, which never materializes `G_1'`.
     pub distance_graph_edges: usize,
     /// Visitors processed per rank (the work metric behind speedup).
     pub rank_work: Vec<u64>,
@@ -784,7 +783,8 @@ mod tests {
         let cfg = SolverConfig {
             num_ranks: 2,
             queue: QueueKind::Adversarial { seed: 99 },
-            reduce_mode: ReduceModeConfig::Dense { chunk: Some(16) },
+            reduce_mode: ReduceMode::Dense { chunk: Some(16) },
+            mst_mode: crate::MstMode::Replicated,
             ..SolverConfig::default()
         };
         solve(&g, &[0, 7], &cfg).unwrap()

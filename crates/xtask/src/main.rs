@@ -322,6 +322,7 @@ fn chaos() -> ExitCode {
             let base_cfg = steiner::SolverConfig {
                 num_ranks: p,
                 queue,
+                mst_mode: steiner::MstMode::Replicated,
                 ..steiner::SolverConfig::default()
             };
             let baseline = match steiner::solve(&g, &seeds, &base_cfg) {
@@ -376,9 +377,7 @@ fn chaos() -> ExitCode {
                             );
                             failures += 1;
                         }
-                        Ok(r)
-                            if mst_mode == steiner::MstMode::Dist && r.boruvka.is_none() =>
-                        {
+                        Ok(r) if mst_mode == steiner::MstMode::Dist && r.boruvka.is_none() => {
                             eprintln!(
                                 "  FAIL {qname} p={p} mst={mname} {spec}: dist solve \
                                  reported no Borůvka rounds"
@@ -420,6 +419,7 @@ fn chaos() -> ExitCode {
             let base_cfg = steiner::SolverConfig {
                 num_ranks: p,
                 queue,
+                mst_mode: steiner::MstMode::Replicated,
                 ..steiner::SolverConfig::default()
             };
             let baseline = match steiner::solve(&g, &seeds, &base_cfg) {
@@ -469,9 +469,7 @@ fn chaos() -> ExitCode {
                             );
                             failures += 1;
                         }
-                        Ok(r)
-                            if mst_mode == steiner::MstMode::Dist && r.boruvka.is_none() =>
-                        {
+                        Ok(r) if mst_mode == steiner::MstMode::Dist && r.boruvka.is_none() => {
                             eprintln!(
                                 "  FAIL {qname} p={p} mst={mname} {spec}: dist recovery \
                                  lost the Borůvka round counters"
@@ -488,9 +486,7 @@ fn chaos() -> ExitCode {
                             r.recovery.checkpoints_taken,
                         ),
                         Err(e) => {
-                            eprintln!(
-                                "  FAIL {qname} p={p} mst={mname} {spec}: solve failed: {e}"
-                            );
+                            eprintln!("  FAIL {qname} p={p} mst={mname} {spec}: solve failed: {e}");
                             failures += 1;
                         }
                     }

@@ -65,11 +65,12 @@ same stale-relaxation filter as priority). `bucketed` / `bucketed:auto`
 derive the bucket width from the graph's mean edge weight;
 `bucketed:DELTA` pins it explicitly (DELTA >= 1).
 
---mst picks the distance-graph MST pipeline: `replicated` (default)
-allreduces the full pair buffer and runs Prim on every rank; `dist`
-runs distributed Borůvka rounds that reduce one lightest-outgoing-edge
-slot per live component and merge via pointer jumping — same tree,
-bit-identical, but the binom(K,2) edge buffer never materializes.
+--mst picks the distance-graph MST pipeline: `dist` (default) runs
+distributed Borůvka rounds that reduce one lightest-outgoing-edge slot
+per live component and merge via pointer jumping, so the binom(K,2)
+edge buffer never materializes; `replicated` allreduces that full pair
+buffer and runs Prim on every rank (the paper's pipeline). Both give
+the same tree, bit for bit.
 
 --trace writes a Chrome-trace/Perfetto JSON timeline of the solve (one
 lane per simulated rank); --report writes the machine-readable RunReport
@@ -381,10 +382,12 @@ fn queue_kind(flags: &HashMap<String, String>, g: &CsrGraph) -> Result<QueueKind
     }
 }
 
-/// Parses `--mst` into the MST pipeline choice.
+/// Parses `--mst` into the MST pipeline choice; absent, the solver's
+/// default.
 fn mst_mode(flags: &HashMap<String, String>) -> Result<MstMode, String> {
     match flags.get("mst").map(String::as_str) {
-        None | Some("replicated") => Ok(MstMode::Replicated),
+        None => Ok(SolverConfig::default().mst_mode),
+        Some("replicated") => Ok(MstMode::Replicated),
         Some("dist") => Ok(MstMode::Dist),
         Some(other) => Err(format!(
             "unknown mst mode {other:?} (want `replicated` or `dist`)"

@@ -122,6 +122,7 @@ fn voronoi_crash_stop_recovers_on_every_run() {
     let base_cfg = steiner::SolverConfig {
         num_ranks: 4,
         queue: QueueKind::Fifo,
+        mst_mode: steiner::MstMode::Replicated,
         ..steiner::SolverConfig::default()
     };
     let baseline = steiner::solve(&g, &seeds, &base_cfg).expect("undisturbed solve");

@@ -11,9 +11,11 @@
 //!
 //! A third row per graph runs the `bucketed` delta-stepping discipline
 //! (delta = mean edge weight): it should track priority's message counts
-//! while replacing heap pops with O(1) bucket pops, and — like priority —
-//! it drops dominated relaxations unvisited at pop time (the stale-drops
-//! column; FIFO shows zero because full delivery is its baseline role).
+//! while replacing heap pops with O(1) bucket pops. Both ordered
+//! disciplines drop dominated relaxations unvisited — bucketed at pop
+//! time, priority by replacing a vertex's queued entry or retiring a
+//! remote relaxation at receipt (the stale-drops column; FIFO shows zero
+//! because full delivery is its baseline role).
 //! Voronoi traffic is split into local pushes (improvements of rank-local
 //! targets, applied at push time under every discipline) and remote
 //! relaxations, which cross a channel and are applied by the owner.

@@ -256,11 +256,12 @@ pub struct Analysis {
     /// Lineage edges in the trace.
     pub total_spawns: u64,
     /// Consumptions in the trace (visitor callbacks plus stale drops —
-    /// every popped message terminates here).
+    /// every message terminates here).
     pub total_visits: u64,
-    /// Consumptions that were stale-relaxation drops: the queue's lazy
-    /// filter discarded the message at pop time without running the
-    /// visitor. Always `<= total_visits`.
+    /// Consumptions that were stale-relaxation drops: the message was
+    /// dominated and discarded without running the visitor — retired at
+    /// receipt or replaced in the keyed priority queue, or filtered at pop
+    /// time by the bucketed one. Always `<= total_visits`.
     pub stale_drops: u64,
     /// Visits whose message had no parent (traversal seeds).
     pub roots: u64,

@@ -215,9 +215,10 @@ pub struct SolveReport {
     /// Visitors processed per rank, summed over the asynchronous phases —
     /// the simulation's work metric.
     pub rank_work: Vec<u64>,
-    /// Per-rank stale relaxations dropped unvisited by the Voronoi
-    /// phase's pop-time filter (the ordered disciplines' decrease-key
-    /// emulation; all-zero under FIFO/adversarial queues).
+    /// Per-rank stale relaxations dropped unvisited by the Voronoi phase:
+    /// retired at receipt or replaced by a newer keyed entry under the
+    /// priority queue, filtered at pop time under the bucketed one
+    /// (all-zero under FIFO/adversarial queues).
     pub stale_drops: Vec<u64>,
     /// The configuration the solve ran with (the [`RunReport`]'s config
     /// fingerprint is derived from it).

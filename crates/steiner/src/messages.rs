@@ -38,13 +38,19 @@ pub enum VoronoiMsg {
         pred_weight: Weight,
     },
     /// Rank-local only: `label` was applied to the locally held `target`
-    /// when this message was pushed (eager relaxation); visiting it relaxes
-    /// `target`'s held arcs unless a later improvement superseded it.
+    /// when this message was pushed (eager relaxation), or when the
+    /// `Relax`/`DelegateUpdate` it replaces was received; visiting it
+    /// relaxes `target`'s held arcs unless a later improvement superseded
+    /// it.
     Expand {
         /// The improved vertex (owned, or a delegate replica).
         target: Vertex,
         /// The label it was improved to.
         label: Label,
+        /// Whether the visit first sends the label to the other replicas:
+        /// true for a delegate improved by this rank, false for an owned
+        /// vertex and for a replica update applied at receipt.
+        broadcast: bool,
     },
 }
 
@@ -98,7 +104,7 @@ impl Wire for VoronoiMsg {
             VoronoiMsg::Start(_) => 1 + 4,
             // tag + target + label (dist, src, pred) + pred_weight
             VoronoiMsg::Relax { .. } | VoronoiMsg::DelegateUpdate { .. } => 1 + 4 + 16 + 8,
-            VoronoiMsg::Expand { .. } => 1 + 4 + 16,
+            VoronoiMsg::Expand { .. } => 1 + 4 + 16 + 1,
         }
     }
 
@@ -128,10 +134,15 @@ impl Wire for VoronoiMsg {
                 label.encode_into(out);
                 pred_weight.encode_into(out);
             }
-            VoronoiMsg::Expand { target, label } => {
+            VoronoiMsg::Expand {
+                target,
+                label,
+                broadcast,
+            } => {
                 out.push(3);
                 target.encode_into(out);
                 label.encode_into(out);
+                broadcast.encode_into(out);
             }
         }
     }
@@ -160,6 +171,7 @@ impl Wire for VoronoiMsg {
             3 => Some(VoronoiMsg::Expand {
                 target: Vertex::decode_from(buf, pos)?,
                 label: Label::decode_from(buf, pos)?,
+                broadcast: bool::decode_from(buf, pos)?,
             }),
             _ => None,
         }
@@ -267,7 +279,11 @@ mod tests {
                 label,
                 pred_weight: 2,
             },
-            VoronoiMsg::Expand { target: 6, label },
+            VoronoiMsg::Expand {
+                target: 6,
+                label,
+                broadcast: true,
+            },
         ];
         let mut buf = Vec::new();
         encode_batch(&msgs, &mut buf);

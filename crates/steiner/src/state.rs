@@ -186,6 +186,16 @@ impl VertexStates {
         (v >= self.owned_start && i < self.owned_len).then_some(Slot::Owned(i))
     }
 
+    /// `v`'s rank-local state slot as a dense key: its offset in the owned
+    /// range, or `num_owned` plus its delegate index; `None` if its state
+    /// is remote. Keys lie in `0..num_owned + num_delegates`.
+    pub fn slot_key(&self, v: Vertex) -> Option<u32> {
+        self.held_slot(v).map(|s| match s {
+            Slot::Owned(i) => i as u32,
+            Slot::Delegate(i) => (self.owned_len + i) as u32,
+        })
+    }
+
     fn slot(&self, v: Vertex) -> Slot {
         self.held_slot(v)
             .unwrap_or_else(|| panic!("rank holds no state for vertex {v}"))

@@ -5,6 +5,12 @@
 //! The binary format is a little-endian dump of the CSR arrays behind a
 //! magic header, analogous in spirit to the "HavoqGT binary graph format"
 //! whose sizes Table III reports.
+//!
+//! Both readers treat their input as untrusted: a vertex id outside the
+//! graph's id range, a zero weight, or a vertex count beyond the id space
+//! is an [`io::ErrorKind::InvalidData`] error that names the offending line
+//! or record, never a panic or a silently truncated id, and no buffer is
+//! sized from a header count before the records behind it are read.
 
 use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, Vertex, Weight};
@@ -37,22 +43,23 @@ pub fn read_edge_list<R: Read>(input: R) -> io::Result<CsrGraph> {
         if let Some(rest) = trimmed.strip_prefix('#') {
             let mut it = rest.split_whitespace();
             if it.next() == Some("vertices") {
-                if let Some(n) = it.next().and_then(|s| s.parse().ok()) {
-                    declared_n = Some(n);
+                if let Some(n) = it.next().and_then(|s| s.parse::<u64>().ok()) {
+                    declared_n = Some(check_vertex_count(n)?);
                 }
             }
             continue;
         }
+        let at = || format!("line {}", lineno + 1);
         let mut it = trimmed.split_whitespace();
         let parse = |tok: Option<&str>| -> io::Result<u64> {
             tok.ok_or_else(|| bad_line(lineno))?
                 .parse()
                 .map_err(|_| bad_line(lineno))
         };
-        let u = parse(it.next())? as Vertex;
-        let v = parse(it.next())? as Vertex;
+        let u = check_id(parse(it.next())?, MAX_VERTEX_COUNT as u64, &at)?;
+        let v = check_id(parse(it.next())?, MAX_VERTEX_COUNT as u64, &at)?;
         let w = match it.next() {
-            Some(tok) => tok.parse().map_err(|_| bad_line(lineno))?,
+            Some(tok) => check_weight(tok.parse().map_err(|_| bad_line(lineno))?, &at)?,
             None => 1,
         };
         edges.push((u, v, w));
@@ -68,11 +75,47 @@ pub fn read_edge_list<R: Read>(input: R) -> io::Result<CsrGraph> {
     Ok(b.build())
 }
 
+/// The largest vertex count a graph can have: ids are `Vertex` values
+/// below `Vertex::MAX`, which the solver reserves as its "no vertex"
+/// sentinel.
+const MAX_VERTEX_COUNT: usize = Vertex::MAX as usize;
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+fn check_vertex_count(n: u64) -> io::Result<usize> {
+    if n > MAX_VERTEX_COUNT as u64 {
+        return Err(invalid(format!(
+            "vertex count {n} exceeds the id space (at most {MAX_VERTEX_COUNT})"
+        )));
+    }
+    Ok(n as usize)
+}
+
+/// `id` as a vertex of a graph with `n` vertices; `at` names the record.
+fn check_id(id: u64, n: u64, at: &dyn Fn() -> String) -> io::Result<Vertex> {
+    if id >= n {
+        return Err(invalid(format!(
+            "{}: vertex id {id} out of range for {n} vertices",
+            at()
+        )));
+    }
+    Ok(id as Vertex)
+}
+
+fn check_weight(w: Weight, at: &dyn Fn() -> String) -> io::Result<Weight> {
+    if w == 0 {
+        return Err(invalid(format!(
+            "{}: edge weight 0 (weights must be positive)",
+            at()
+        )));
+    }
+    Ok(w)
+}
+
 fn bad_line(lineno: usize) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("malformed edge list at line {}", lineno + 1),
-    )
+    invalid(format!("malformed edge list at line {}", lineno + 1))
 }
 
 /// Writes `g` in the compact binary CSR format.
@@ -105,17 +148,21 @@ pub fn read_binary<R: Read>(mut input: R) -> io::Result<CsrGraph> {
     }
     let mut word = [0u8; 8];
     input.read_exact(&mut word)?;
-    let n = u64::from_le_bytes(word) as usize;
+    let n = check_vertex_count(u64::from_le_bytes(word))?;
     input.read_exact(&mut word)?;
-    let m = u64::from_le_bytes(word) as usize;
+    let m = u64::from_le_bytes(word);
     let mut reader = BufReader::new(input);
-    let mut b = GraphBuilder::with_capacity(n, m / 2);
-    for _ in 0..m {
+    // `m` is untrusted: the edge list grows as records arrive, so a huge
+    // header count costs nothing until the file really holds the records.
+    let mut b = GraphBuilder::new(n);
+    for i in 0..m {
         let mut rec = [0u8; 24];
         reader.read_exact(&mut rec)?;
-        let u = u64::from_le_bytes(rec[0..8].try_into().unwrap()) as Vertex;
-        let v = u64::from_le_bytes(rec[8..16].try_into().unwrap()) as Vertex;
-        let w = u64::from_le_bytes(rec[16..24].try_into().unwrap());
+        let field = |k: usize| u64::from_le_bytes(rec[8 * k..8 * k + 8].try_into().unwrap());
+        let at = || format!("record {i}");
+        let u = check_id(field(0), n as u64, &at)?;
+        let v = check_id(field(1), n as u64, &at)?;
+        let w = check_weight(field(2), &at)?;
         // Arcs appear in both directions; add each undirected edge once.
         if u < v {
             b.add_edge(u, v, w);

@@ -70,8 +70,8 @@ pub use trace::{TraceConfig, TraceDump, TraceEvent, TraceEventKind, TraceSpan};
 #[cfg(feature = "check")]
 pub use traversal::run_traversal_mutant_premature;
 pub use traversal::{
-    run_traversal, run_traversal_config, run_traversal_filtered, Pusher, TraversalOptions,
-    TraversalStats,
+    run_traversal, run_traversal_config, run_traversal_filtered, FrontierHooks, Pusher,
+    TraversalOptions, TraversalStats,
 };
 pub use wire::{DeepBytes, Wire};
 
@@ -337,7 +337,7 @@ impl Comm {
         }
     }
 
-    /// Telemetry hook for stale-filter drops (see
+    /// Telemetry hook for dominated visitors dropped unvisited (see
     /// [`traversal::run_traversal_filtered`]).
     pub(crate) fn telemetry_stale_drop(&self, n: u64) {
         if let Some(t) = &self.telemetry {

@@ -122,8 +122,9 @@ pub enum MetricKind {
     BatchSize,
     /// One visit-callback invocation, microseconds.
     VisitServiceUs,
-    /// Enqueue -> stale-filter drop, microseconds: how long a dominated
-    /// relaxation sat queued before the filter killed it unvisited (see
+    /// Enqueue -> drop, microseconds: how long a dominated relaxation sat
+    /// queued before it was dropped unvisited — replaced by a keyed push,
+    /// retired at receipt (age 0) or filtered at pop time (see
     /// `run_traversal_filtered`).
     StaleDropAgeUs,
 }

@@ -18,21 +18,34 @@
 //! matches the priority queue's settle order and larger deltas trade
 //! ordering precision for constant-time operations.
 //!
-//! ## Stale-entry filtering
+//! ## Dominated entries: keyed replacement and pop-time filtering
 //!
-//! The ordered disciplines (priority and bucketed) support *lazy
-//! decrease-key emulation* through [`VisitorQueue::pop_stale_filtered`]:
-//! since pushes never remove the superseded entries an improvement leaves
-//! behind, the queue instead applies a caller-supplied staleness predicate
-//! at pop time and drops dominated entries before they reach the visit
-//! callback — the delta-stepping trick of filtering `dist(v) < tentative`
-//! entries, generalized to a callback. FIFO and adversarial queues ignore
-//! the filter on purpose: they are the full-delivery baselines the
-//! Fig 5/6 experiments and the chaos matrix compare against.
+//! A label-correcting traversal keeps producing entries that a later
+//! improvement supersedes. The disciplines deal with them in two ways.
+//!
+//! - **Priority: decrease-key.** The heap is an indexed binary min-heap
+//!   on `(prio, seq)` with a position index over dense caller keys.
+//!   [`VisitorQueue::push_keyed`] with `Some(key)` replaces the entry
+//!   already queued under that key *in place*: the entry takes the new
+//!   priority, sequence number and value, is sifted to its new position,
+//!   and the superseded value is handed back to the caller. A keyed
+//!   vertex therefore holds at most one queue entry, and the superseded
+//!   one is never pushed, popped or checked again. Unkeyed pushes behave
+//!   as plain heap pushes. Since the survivor takes the newest
+//!   `(prio, seq)`, the pop order of live entries is exactly that of a
+//!   lazy heap which leaves the superseded entries behind.
+//! - **Bucketed: lazy filtering.** [`VisitorQueue::pop_stale_filtered`]
+//!   applies a caller-supplied staleness predicate at pop time and drops
+//!   dominated entries before they reach the visit callback — the
+//!   delta-stepping trick of filtering `dist(v) < tentative` entries,
+//!   generalized to a callback. Keys are ignored.
+//!
+//! FIFO and adversarial queues ignore keys and the filter on purpose: they
+//! are the full-delivery baselines the Fig 5/6 experiments and the chaos
+//! matrix compare against.
 
 use crate::wire::DeepBytes;
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Which queue discipline a traversal uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -72,37 +85,205 @@ impl QueueKind {
     }
 
     /// Whether this discipline applies the stale-entry filter of
-    /// [`VisitorQueue::pop_stale_filtered`]. True for the ordered
-    /// disciplines (priority, bucketed), where dropping dominated entries
-    /// is the decrease-key emulation; false for FIFO and adversarial,
-    /// which stay full-delivery baselines.
+    /// [`VisitorQueue::pop_stale_filtered`]: true for bucketed only. The
+    /// priority queue replaces superseded entries at push time instead
+    /// (see [`QueueKind::keyed`]), and FIFO and adversarial stay
+    /// full-delivery baselines.
     pub fn filters_stale(&self) -> bool {
-        matches!(self, QueueKind::Priority | QueueKind::Bucketed { .. })
+        matches!(self, QueueKind::Bucketed { .. })
+    }
+
+    /// Whether [`VisitorQueue::push_keyed`] replaces a key's queued entry
+    /// (decrease-key): true for the priority discipline only; the others
+    /// ignore keys.
+    pub fn keyed(&self) -> bool {
+        matches!(self, QueueKind::Priority)
     }
 }
 
-struct Entry<V> {
+/// Sentinel for an unkeyed heap node and for a key with nothing queued.
+const NO_KEY: u32 = u32::MAX;
+
+/// One heap node: the ordering pair, the caller's key (or [`NO_KEY`]) and
+/// the slot of its value in the heap's value slab. `Copy` and small, so
+/// sifting moves 24 bytes per level whatever the value type.
+#[derive(Clone, Copy)]
+struct Node {
     prio: u64,
     seq: u64,
-    value: V,
+    key: u32,
+    slot: u32,
 }
 
-impl<V> PartialEq for Entry<V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.prio == other.prio && self.seq == other.seq
+impl Node {
+    /// `(prio, seq) < (other.prio, other.seq)`, written without
+    /// short-circuits so sifting compiles to conditional moves: which
+    /// child is smaller is a coin flip the branch predictor loses.
+    #[inline]
+    fn before(&self, other: &Node) -> bool {
+        (self.prio < other.prio) | ((self.prio == other.prio) & (self.seq < other.seq))
     }
 }
-impl<V> Eq for Entry<V> {}
-impl<V> PartialOrd for Entry<V> {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
+
+/// Indexed binary min-heap on `(prio, seq)` with in-place replacement by
+/// key. Values live in a slab beside the node array; `pos[key]` is the
+/// node index of the entry queued under `key`, or [`NO_KEY`]. Sifting
+/// lifts the moving node out and shifts the others into the hole, writing
+/// each moved node (and its position) once per level.
+struct IndexedHeap<V> {
+    nodes: Vec<Node>,
+    values: Vec<Option<V>>,
+    free: Vec<u32>,
+    pos: Vec<u32>,
 }
-impl<V> Ord for Entry<V> {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // BinaryHeap is a max-heap; reverse so the smallest (prio, seq)
-        // pops first.
-        (other.prio, other.seq).cmp(&(self.prio, self.seq))
+
+impl<V> IndexedHeap<V> {
+    fn new() -> Self {
+        IndexedHeap {
+            nodes: Vec::new(),
+            values: Vec::new(),
+            free: Vec::new(),
+            pos: Vec::new(),
+        }
+    }
+
+    /// Queues `value`, or, when `key`'s entry is already queued, gives that
+    /// entry the new `(prio, seq)` and value and returns the old value.
+    fn push(&mut self, prio: u64, seq: u64, key: Option<u32>, value: V) -> Option<V> {
+        let key = match key {
+            Some(k) => {
+                assert!(k != NO_KEY, "queue key {k} is reserved");
+                let i = self.pos.get(k as usize).copied().unwrap_or(NO_KEY);
+                if i != NO_KEY {
+                    let i = i as usize;
+                    let old = self.nodes[i];
+                    let new = Node { prio, seq, ..old };
+                    self.nodes[i] = new;
+                    if new.before(&old) {
+                        self.sift_up(i);
+                    } else {
+                        self.sift_down(i);
+                    }
+                    return self.values[old.slot as usize].replace(value);
+                }
+                if k as usize >= self.pos.len() {
+                    self.pos.resize(k as usize + 1, NO_KEY);
+                }
+                k
+            }
+            None => NO_KEY,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.values[slot as usize] = Some(value);
+                slot
+            }
+            None => {
+                self.values.push(Some(value));
+                (self.values.len() - 1) as u32
+            }
+        };
+        self.nodes.push(Node {
+            prio,
+            seq,
+            key,
+            slot,
+        });
+        self.sift_up(self.nodes.len() - 1);
+        None
+    }
+
+    fn pop(&mut self) -> Option<V> {
+        let last = self.nodes.pop()?;
+        let top = match self.nodes.first().copied() {
+            Some(top) => {
+                self.nodes[0] = last;
+                self.sift_down_to_bottom(0);
+                top
+            }
+            None => last,
+        };
+        if top.key != NO_KEY {
+            self.pos[top.key as usize] = NO_KEY;
+        }
+        self.free.push(top.slot);
+        self.values[top.slot as usize].take()
+    }
+
+    fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Writes `node` at index `i` and records its position.
+    #[inline]
+    fn place(&mut self, i: usize, node: Node) {
+        self.nodes[i] = node;
+        if node.key != NO_KEY {
+            self.pos[node.key as usize] = i as u32;
+        }
+    }
+
+    fn sift_up(&mut self, mut hole: usize) {
+        let node = self.nodes[hole];
+        while hole > 0 {
+            let parent = (hole - 1) / 2;
+            if !node.before(&self.nodes[parent]) {
+                break;
+            }
+            self.place(hole, self.nodes[parent]);
+            hole = parent;
+        }
+        self.place(hole, node);
+    }
+
+    /// Pop's sift: moves the hole at `hole` down to a leaf along the
+    /// smaller children (one comparison per level), then sifts the node
+    /// that was there back up. The node a pop moves to the root came from
+    /// the bottom, so it rarely climbs far — fewer comparisons than
+    /// [`IndexedHeap::sift_down`]'s two per level.
+    fn sift_down_to_bottom(&mut self, mut hole: usize) {
+        let node = self.nodes[hole];
+        let len = self.nodes.len();
+        let mut child = 2 * hole + 1;
+        while child + 1 < len {
+            child += self.nodes[child + 1].before(&self.nodes[child]) as usize;
+            self.place(hole, self.nodes[child]);
+            hole = child;
+            child = 2 * hole + 1;
+        }
+        if child + 1 == len {
+            self.place(hole, self.nodes[child]);
+            hole = child;
+        }
+        self.nodes[hole] = node;
+        self.sift_up(hole);
+    }
+
+    fn sift_down(&mut self, mut hole: usize) {
+        let node = self.nodes[hole];
+        let len = self.nodes.len();
+        loop {
+            let mut child = 2 * hole + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && self.nodes[child + 1].before(&self.nodes[child]) {
+                child += 1;
+            }
+            if !self.nodes[child].before(&node) {
+                break;
+            }
+            self.place(hole, self.nodes[child]);
+            hole = child;
+        }
+        self.place(hole, node);
+    }
+
+    /// Buffer bytes: node array, value slab, free list and position index.
+    fn memory_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.values.capacity() * std::mem::size_of::<Option<V>>()
+            + (self.free.capacity() + self.pos.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -115,7 +296,7 @@ const MAX_BUCKET_WINDOW: u64 = 1 << 24;
 pub struct VisitorQueue<V> {
     kind: QueueKind,
     fifo: VecDeque<V>,
-    heap: BinaryHeap<Entry<V>>,
+    heap: IndexedHeap<V>,
     bag: Vec<V>,
     /// Cyclic bucket vector of the bucketed discipline: the entry for
     /// absolute bucket id `b = prio / delta` lives in slot `b % len`,
@@ -171,7 +352,7 @@ impl<V> VisitorQueue<V> {
         VisitorQueue {
             kind,
             fifo: VecDeque::new(),
-            heap: BinaryHeap::new(),
+            heap: IndexedHeap::new(),
             bag: Vec::new(),
             buckets: Vec::new(),
             min_bucket: 0,
@@ -241,13 +422,30 @@ impl<V: DeepBytes> VisitorQueue<V> {
     /// Enqueues `value`; `prio` is used only by the priority and bucketed
     /// disciplines.
     pub fn push(&mut self, prio: u64, value: V) {
+        self.push_keyed(prio, None, value);
+    }
+
+    /// [`VisitorQueue::push`] with an optional dense key. Under the
+    /// priority discipline ([`QueueKind::keyed`]) a `Some(key)` push whose
+    /// key already has an entry queued replaces that entry in place — it
+    /// takes the new priority, arrival order and value — and returns the
+    /// superseded value; the queue length does not change. Every other
+    /// push, and every push under the other disciplines, enqueues and
+    /// returns `None`. Keys index a position table, so they should be
+    /// small and dense (a rank-local slot, not a global id);
+    /// `u32::MAX` is reserved.
+    pub fn push_keyed(&mut self, prio: u64, key: Option<u32>, value: V) -> Option<V> {
         self.elem_heap_bytes += value.heap_bytes();
         match self.kind {
             QueueKind::Fifo => self.fifo.push_back(value),
             QueueKind::Priority => {
                 let seq = self.seq;
                 self.seq += 1;
-                self.heap.push(Entry { prio, seq, value });
+                let replaced = self.heap.push(prio, seq, key, value);
+                if let Some(old) = &replaced {
+                    self.elem_heap_bytes -= old.heap_bytes();
+                }
+                return replaced;
             }
             QueueKind::Bucketed { delta } => {
                 let b = prio / delta;
@@ -271,13 +469,14 @@ impl<V: DeepBytes> VisitorQueue<V> {
             }
             QueueKind::Adversarial { .. } => self.bag.push(value),
         }
+        None
     }
 
     /// Dequeues the next visitor, or `None` when empty.
     pub fn pop(&mut self) -> Option<V> {
         let popped = match self.kind {
             QueueKind::Fifo => self.fifo.pop_front(),
-            QueueKind::Priority => self.heap.pop().map(|e| e.value),
+            QueueKind::Priority => self.heap.pop(),
             QueueKind::Bucketed { .. } => {
                 if self.bucket_items == 0 {
                     None
@@ -313,12 +512,12 @@ impl<V: DeepBytes> VisitorQueue<V> {
     /// Dequeues the next visitor the staleness filter accepts, lazily
     /// dropping entries `stale` marks as dominated; returns the visitor
     /// (if any) and how many entries were dropped. Only the ordered
-    /// disciplines filter (see [`QueueKind::filters_stale`]) — for FIFO
-    /// and adversarial queues this is exactly [`VisitorQueue::pop`].
+    /// bucketed discipline filters (see [`QueueKind::filters_stale`]) —
+    /// for the other queues this is exactly [`VisitorQueue::pop`].
     ///
     /// This is the decrease-key emulation of the delta-stepping hot path:
-    /// an improvement to a vertex label does not hunt down the superseded
-    /// entries already queued for it; they die here, at pop time, without
+    /// a bucket cannot find and remove the superseded entries an
+    /// improvement leaves behind, so they die here, at pop time, without
     /// paying for a full visit.
     pub fn pop_stale_filtered(&mut self, mut stale: impl FnMut(&V) -> bool) -> (Option<V>, u64) {
         if !self.kind.filters_stale() {
@@ -341,7 +540,7 @@ impl<V: DeepBytes> VisitorQueue<V> {
     pub fn memory_bytes(&self) -> usize {
         let buffers = match self.kind {
             QueueKind::Fifo => self.fifo.capacity() * std::mem::size_of::<V>(),
-            QueueKind::Priority => self.heap.capacity() * std::mem::size_of::<Entry<V>>(),
+            QueueKind::Priority => self.heap.memory_bytes(),
             QueueKind::Bucketed { .. } => {
                 self.bucket_slot_cap * std::mem::size_of::<(u64, V)>()
                     + self.buckets.capacity() * std::mem::size_of::<VecDeque<(u64, V)>>()
@@ -357,7 +556,7 @@ impl<V> VisitorQueue<V> {
     pub fn is_empty(&self) -> bool {
         match self.kind {
             QueueKind::Fifo => self.fifo.is_empty(),
-            QueueKind::Priority => self.heap.is_empty(),
+            QueueKind::Priority => self.heap.len() == 0,
             QueueKind::Bucketed { .. } => self.bucket_items == 0,
             QueueKind::Adversarial { .. } => self.bag.is_empty(),
         }
@@ -425,7 +624,7 @@ mod tests {
 
     #[test]
     fn stale_filter_drops_dominated_entries() {
-        for kind in [QueueKind::Priority, QueueKind::Bucketed { delta: 2 }] {
+        for kind in [QueueKind::Bucketed { delta: 2 }] {
             let mut q = VisitorQueue::new(kind);
             for v in [10u32, 3, 7, 1, 8] {
                 q.push(v as u64, v);
@@ -451,8 +650,13 @@ mod tests {
     }
 
     #[test]
-    fn stale_filter_is_identity_for_full_delivery_queues() {
-        for kind in [QueueKind::Fifo, QueueKind::Adversarial { seed: 3 }] {
+    fn stale_filter_is_identity_for_unfiltered_queues() {
+        // Priority replaces superseded entries at push time instead.
+        for kind in [
+            QueueKind::Fifo,
+            QueueKind::Priority,
+            QueueKind::Adversarial { seed: 3 },
+        ] {
             let mut q = VisitorQueue::new(kind);
             for v in [10u32, 3, 7] {
                 q.push(v as u64, v);
@@ -460,7 +664,7 @@ mod tests {
             let mut got = vec![];
             loop {
                 let (v, dropped) = q.pop_stale_filtered(|_| true);
-                assert_eq!(dropped, 0, "{kind:?} never filters");
+                assert_eq!(dropped, 0, "{kind:?} never filters at pop time");
                 match v {
                     Some(v) => got.push(v),
                     None => break,
@@ -492,6 +696,174 @@ mod tests {
                 q.memory_bytes() < 8000,
                 "{kind:?}: popped payload bytes must be released"
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod keyed_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn drain(q: &mut VisitorQueue<u32>) -> Vec<u32> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
+    #[test]
+    fn decreased_key_moves_up_and_returns_the_old_value() {
+        let mut q = VisitorQueue::new(QueueKind::Priority);
+        q.push_keyed(5, Some(0), 50);
+        q.push_keyed(7, Some(1), 70);
+        q.push_keyed(9, Some(2), 90);
+        assert_eq!(q.push_keyed(1, Some(2), 10), Some(90));
+        assert_eq!(q.len(), 3, "a replacement does not grow the queue");
+        assert_eq!(drain(&mut q), vec![10, 50, 70]);
+    }
+
+    #[test]
+    fn increased_key_moves_down() {
+        let mut q = VisitorQueue::new(QueueKind::Priority);
+        for k in 0..6u32 {
+            q.push_keyed(k as u64, Some(k), k);
+        }
+        assert_eq!(q.push_keyed(100, Some(0), 99), Some(0));
+        assert_eq!(drain(&mut q), vec![1, 2, 3, 4, 5, 99]);
+    }
+
+    #[test]
+    fn replacement_takes_the_new_arrival_order() {
+        // Equal priorities pop in arrival order; a replaced entry counts
+        // as arriving at its replacement, like the survivor of a lazy heap.
+        let mut q = VisitorQueue::new(QueueKind::Priority);
+        q.push_keyed(3, Some(0), 1);
+        q.push_keyed(3, Some(1), 2);
+        assert_eq!(q.push_keyed(3, Some(0), 3), Some(1));
+        assert_eq!(drain(&mut q), vec![2, 3]);
+    }
+
+    #[test]
+    fn keyed_and_unkeyed_entries_mix() {
+        let mut q = VisitorQueue::new(QueueKind::Priority);
+        q.push(4, 40);
+        q.push_keyed(6, Some(3), 60);
+        q.push(2, 20);
+        q.push_keyed(8, Some(7), 80);
+        // Unkeyed pushes never replace, even at equal priority and value.
+        assert_eq!(q.push_keyed(4, None, 40), None);
+        assert_eq!(q.push_keyed(1, Some(7), 11), Some(80));
+        assert_eq!(q.push_keyed(5, None, 50), None);
+        assert_eq!(q.len(), 6);
+        assert_eq!(drain(&mut q), vec![11, 20, 40, 40, 50, 60]);
+        // A popped key is free again: the next push under it enqueues.
+        assert_eq!(q.push_keyed(9, Some(7), 90), None);
+        assert_eq!(drain(&mut q), vec![90]);
+    }
+
+    #[test]
+    fn replacement_keeps_deep_bytes_exact() {
+        let mut q: VisitorQueue<Vec<u64>> = VisitorQueue::new(QueueKind::Priority);
+        q.push_keyed(1, Some(0), vec![0; 1000]);
+        let big = q.memory_bytes();
+        let old = q.push_keyed(0, Some(0), vec![0; 10]);
+        assert_eq!(old.map(|v| v.len()), Some(1000));
+        assert!(
+            big - q.memory_bytes() >= 990 * 8,
+            "the replaced payload's bytes must be released"
+        );
+    }
+
+    #[test]
+    fn memory_bytes_counts_the_position_index() {
+        let mut q: VisitorQueue<u32> = VisitorQueue::new(QueueKind::Priority);
+        // A single entry under a large key sizes the index to that key.
+        q.push_keyed(0, Some(10_000), 0);
+        assert!(
+            q.memory_bytes() >= 10_001 * std::mem::size_of::<u32>(),
+            "position index of 10,001 keys must be charged, got {}",
+            q.memory_bytes()
+        );
+    }
+
+    #[test]
+    fn other_disciplines_ignore_keys() {
+        for kind in [
+            QueueKind::Fifo,
+            QueueKind::Bucketed { delta: 1 },
+            QueueKind::Adversarial { seed: 5 },
+        ] {
+            assert!(!kind.keyed());
+            let mut q = VisitorQueue::new(kind);
+            for v in 0..5u32 {
+                assert_eq!(q.push_keyed(v as u64, Some(0), v), None, "{kind:?}");
+            }
+            assert_eq!(q.len(), 5, "{kind:?} queues every push");
+            let mut got = drain(&mut q);
+            got.sort_unstable();
+            assert_eq!(got, vec![0, 1, 2, 3, 4], "{kind:?}");
+        }
+        assert!(QueueKind::Priority.keyed());
+    }
+
+    /// The naive reference: a list of `(prio, seq, key, value)`; a keyed
+    /// push overwrites its key's entry, a pop removes the minimum
+    /// `(prio, seq)`.
+    #[derive(Default)]
+    struct Model {
+        entries: Vec<(u64, u64, Option<u32>, u32)>,
+        seq: u64,
+    }
+
+    impl Model {
+        fn push(&mut self, prio: u64, key: Option<u32>, value: u32) -> Option<u32> {
+            let seq = self.seq;
+            self.seq += 1;
+            if let Some(e) = self
+                .entries
+                .iter_mut()
+                .find(|e| key.is_some() && e.2 == key)
+            {
+                let old = e.3;
+                *e = (prio, seq, key, value);
+                return Some(old);
+            }
+            self.entries.push((prio, seq, key, value));
+            None
+        }
+
+        fn pop(&mut self) -> Option<u32> {
+            let i =
+                (0..self.entries.len()).min_by_key(|&i| (self.entries[i].0, self.entries[i].1))?;
+            Some(self.entries.swap_remove(i).3)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random push, keyed-push and pop sequences agree with the
+        /// reference model on every returned value and on the length.
+        #[test]
+        fn keyed_heap_matches_reference_model(
+            ops in proptest::collection::vec((0u8..3, 0u64..16, 0u32..8), 0..300),
+        ) {
+            let mut q = VisitorQueue::new(QueueKind::Priority);
+            let mut model = Model::default();
+            for (i, &(op, prio, key)) in ops.iter().enumerate() {
+                let value = i as u32;
+                match op {
+                    0 => prop_assert_eq!(q.push_keyed(prio, None, value), model.push(prio, None, value)),
+                    1 => prop_assert_eq!(
+                        q.push_keyed(prio, Some(key), value),
+                        model.push(prio, Some(key), value)
+                    ),
+                    _ => prop_assert_eq!(q.pop(), model.pop()),
+                }
+                prop_assert_eq!(q.len(), model.entries.len());
+            }
+            while let Some(v) = model.pop() {
+                prop_assert_eq!(q.pop(), Some(v));
+            }
+            prop_assert!(q.is_empty());
         }
     }
 }

@@ -23,16 +23,29 @@
 //! "light-weight and best-effort only" caveat the paper attaches to its
 //! prioritization.
 //!
-//! ## Stale-entry filtering
+//! ## Dominated visitors
 //!
-//! [`run_traversal_filtered`] threads a staleness predicate down to the
-//! queue's lazy decrease-key emulation
-//! ([`crate::queue::VisitorQueue::pop_stale_filtered`]): under the ordered
-//! disciplines (priority, bucketed) an entry the predicate marks as
-//! dominated is dropped at pop time — counted in
-//! [`TraversalStats::stale_dropped`], never visited, never re-forwarded.
-//! The plain entry points use a constant-`false` predicate, so their exact
-//! processed counts (which several tests pin) are unchanged.
+//! [`run_traversal_filtered`] takes [`FrontierHooks`] that keep visitors a
+//! later one supersedes from costing a visit:
+//!
+//! - Under the priority discipline ([`QueueKind::keyed`]), every visitor
+//!   queued locally — seeded by `init`, pushed by a visit, or surviving
+//!   receipt — is pushed under the hooks' `key`, and replaces the entry
+//!   queued under the same key in place
+//!   ([`crate::queue::VisitorQueue::push_keyed`]). Each drained inbound
+//!   visitor first passes the `receive` hook, which either retires it (it
+//!   was dominated on arrival) or returns the visitor to enqueue — usually
+//!   a local form the hook has already applied. A conversion is not a
+//!   push: it counts in neither `local_msgs` nor `remote_msgs`.
+//! - Under the bucketed discipline ([`QueueKind::filters_stale`]) the
+//!   queue applies the `stale` predicate at pop time.
+//!
+//! A retired, replaced or filtered visitor counts in
+//! [`TraversalStats::stale_dropped`], is never visited and never
+//! forwarded, and is recorded like a drop: a `Visit` lineage event with
+//! `arg2 = 1` and a `StaleDropAgeUs` sample. FIFO and adversarial queues
+//! use no hook. The plain entry points pass [`FrontierHooks::none`], so
+//! their exact processed counts (which several tests pin) are unchanged.
 //!
 //! ## Termination
 //!
@@ -308,14 +321,66 @@ fn flush_one<V: Send + Clone + Wire + DeepBytes + 'static>(
     chan.send_batch_wire(dest, shipped, buffer.wire.len() as u64, lineage);
 }
 
+/// Caller hooks of [`run_traversal_filtered`] that keep dominated
+/// visitors from being visited (see the module docs).
+pub struct FrontierHooks<K, S, R> {
+    /// Dense key of a locally queued visitor, or `None` for one that never
+    /// supersedes another; keyed disciplines only.
+    pub key: K,
+    /// Pop-time staleness predicate; bucketed discipline only.
+    pub stale: S,
+    /// Receipt hook for each drained inbound visitor: `None` retires it,
+    /// `Some(v)` enqueues `v`; keyed disciplines only.
+    pub receive: R,
+}
+
+impl<V> FrontierHooks<fn(&V) -> Option<u32>, fn(&V) -> bool, fn(V) -> Option<V>> {
+    /// Hooks that key nothing, filter nothing and enqueue every receipt.
+    pub fn none() -> Self {
+        FrontierHooks {
+            key: |_| None,
+            stale: |_| false,
+            receive: Some,
+        }
+    }
+}
+
+/// The terminal consumption of a dominated visitor that is never visited:
+/// counted in [`TraversalStats::stale_dropped`] and the telemetry, traced
+/// as a `Visit` lineage event with `arg2 = 1` (stale), so the causality
+/// DAG stays covered — every spawn still meets its end — while analyzers
+/// can tell drops from real visits, and its queue residency recorded as
+/// `StaleDropAgeUs`.
+fn record_drop(
+    comm: &Comm,
+    phase: &'static str,
+    observing: bool,
+    metrics: Option<&PhaseMetrics>,
+    stats: &mut TraversalStats,
+    meta: VisitMeta,
+) {
+    stats.stale_dropped += 1;
+    comm.telemetry_stale_drop(1);
+    if observing {
+        comm.trace_event2(TraceEventKind::Visit, phase, meta.id, 1);
+    }
+    if let Some(m) = metrics {
+        m.record(
+            MetricKind::StaleDropAgeUs,
+            comm.now_us().saturating_sub(meta.enq_us),
+        );
+    }
+}
+
 /// Per-rank statistics returned by [`run_traversal`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraversalStats {
     /// Visitors this rank processed (local + remote).
     pub processed: u64,
-    /// Queued visitors dropped unvisited by the stale-entry filter of
-    /// [`run_traversal_filtered`] (always 0 for the plain entry points
-    /// and for the full-delivery disciplines).
+    /// Visitors dropped unvisited by the [`FrontierHooks`] of
+    /// [`run_traversal_filtered`] — retired at receipt, replaced by a
+    /// keyed push, or filtered at pop time (always 0 for the plain entry
+    /// points and for the full-delivery disciplines).
     pub stale_dropped: u64,
     /// Peak length of this rank's local queue.
     pub peak_queue_len: usize,
@@ -365,51 +430,59 @@ where
     P: Fn(&V) -> u64,
     F: FnMut(V, &mut Pusher<'_, V>),
 {
-    traversal_loop::<false, V, P, _, F>(
+    traversal_loop::<false, V, P, _, _, _, F>(
         comm,
         chan,
         options,
         priority,
-        |_: &V| false,
+        FrontierHooks::none(),
         init,
         visit,
         Duration::ZERO,
     )
 }
 
-/// [`run_traversal_config`] with a staleness predicate: under the ordered
-/// disciplines ([`QueueKind::filters_stale`]), a queued visitor for which
-/// `stale` returns true when it reaches the head of the queue is dropped
-/// unvisited and counted in [`TraversalStats::stale_dropped`] — the lazy
-/// decrease-key emulation of delta-stepping, generalized to a callback.
+/// [`run_traversal_config`] with [`FrontierHooks`] that drop dominated
+/// visitors unvisited, counting them in [`TraversalStats::stale_dropped`].
 ///
-/// `stale` must be *monotone*: once a visitor is stale it stays stale
-/// (labels only improve), so dropping it can never lose work that a later
-/// state would have needed. Under FIFO and adversarial disciplines the
-/// predicate is ignored and every visitor is delivered (those are the
-/// full-delivery baselines the chaos matrix compares against).
-#[allow(clippy::too_many_arguments)]
-pub fn run_traversal_filtered<V, P, S, F>(
+/// - Priority discipline: local pushes are keyed by `hooks.key`, so a key
+///   holds at most one queued visitor and a newer push replaces the older
+///   in place; each inbound visitor is passed to `hooks.receive` as it is
+///   drained, before it is queued, and retired if that returns `None`.
+///   The replacement must dominate what it replaces, and a retired
+///   visitor must be one whose visit would have done nothing.
+/// - Bucketed discipline: a queued visitor for which `hooks.stale`
+///   returns true when it reaches the head of the queue is dropped — the
+///   lazy decrease-key emulation of delta-stepping. `stale` must be
+///   *monotone*: once a visitor is stale it stays stale (labels only
+///   improve), so dropping it can never lose work that a later state
+///   would have needed.
+/// - FIFO and adversarial disciplines use no hook and deliver every
+///   visitor (those are the full-delivery baselines the chaos matrix
+///   compares against).
+pub fn run_traversal_filtered<V, P, K, S, R, F>(
     comm: &Comm,
     chan: &ChannelGroup<Vec<V>>,
     options: TraversalOptions,
     priority: P,
-    stale: S,
+    hooks: FrontierHooks<K, S, R>,
     init: impl IntoIterator<Item = V>,
     visit: F,
 ) -> TraversalStats
 where
     V: Send + Clone + Wire + DeepBytes + 'static,
     P: Fn(&V) -> u64,
+    K: Fn(&V) -> Option<u32>,
     S: FnMut(&V) -> bool,
+    R: FnMut(V) -> Option<V>,
     F: FnMut(V, &mut Pusher<'_, V>),
 {
-    traversal_loop::<false, V, P, S, F>(
+    traversal_loop::<false, V, P, K, S, R, F>(
         comm,
         chan,
         options,
         priority,
-        stale,
+        hooks,
         init,
         visit,
         Duration::ZERO,
@@ -439,12 +512,12 @@ where
     P: Fn(&V) -> u64,
     F: FnMut(V, &mut Pusher<'_, V>),
 {
-    traversal_loop::<true, V, P, _, F>(
+    traversal_loop::<true, V, P, _, _, _, F>(
         comm,
         chan,
         options,
         priority,
-        |_: &V| false,
+        FrontierHooks::none(),
         init,
         visit,
         delay,
@@ -456,12 +529,12 @@ where
 /// [`run_traversal_mutant_premature`]); production entry points
 /// monomorphize with `false`, so the mutant branch compiles away.
 #[allow(clippy::too_many_arguments)]
-fn traversal_loop<const PREMATURE_MUTANT: bool, V, P, S, F>(
+fn traversal_loop<const PREMATURE_MUTANT: bool, V, P, K, S, R, F>(
     comm: &Comm,
     chan: &ChannelGroup<Vec<V>>,
     options: TraversalOptions,
     priority: P,
-    mut stale: S,
+    mut hooks: FrontierHooks<K, S, R>,
     init: impl IntoIterator<Item = V>,
     mut visit: F,
     mutant_delay: Duration,
@@ -469,7 +542,9 @@ fn traversal_loop<const PREMATURE_MUTANT: bool, V, P, S, F>(
 where
     V: Send + Clone + Wire + DeepBytes + 'static,
     P: Fn(&V) -> u64,
+    K: Fn(&V) -> Option<u32>,
     S: FnMut(&V) -> bool,
+    R: FnMut(V) -> Option<V>,
     F: FnMut(V, &mut Pusher<'_, V>),
 {
     assert!(options.batch_size >= 1, "batch size must be positive");
@@ -496,11 +571,24 @@ where
 
     let mut stats = TraversalStats::default();
     let mut queue: VisitorQueue<(VisitMeta, V)> = VisitorQueue::new(options.queue);
+    let keyed = options.queue.keyed();
+    let phase = chan.phase();
+    let observing = lineage.enabled;
+    // Queues one visitor, keyed under the keyed discipline; a visitor it
+    // replaces is dropped unvisited.
+    let enqueue = |queue: &mut VisitorQueue<(VisitMeta, V)>,
+                   stats: &mut TraversalStats,
+                   meta: VisitMeta,
+                   v: V| {
+        let key = if keyed { (hooks.key)(&v) } else { None };
+        if let Some((old, _)) = queue.push_keyed(priority(&v), key, (meta, v)) {
+            record_drop(comm, phase, observing, metrics.as_deref(), stats, old);
+        }
+    };
     for v in init {
-        let pr = priority(&v);
-        let id = lineage.spawn(comm, chan.phase());
+        let id = lineage.spawn(comm, phase);
         let enq_us = lineage.now_us(comm);
-        queue.push(pr, (VisitMeta { id, enq_us }, v));
+        enqueue(&mut queue, &mut stats, VisitMeta { id, enq_us }, v);
     }
     // Sample the peak right after seeding: with N init visitors the true
     // maximum is N, which the after-a-visit sample below would miss by
@@ -546,12 +634,26 @@ where
                 m.record(MetricKind::MsgLatencyUs, now.saturating_sub(sc.sent_us));
             }
             for (i, v) in batch.into_iter().enumerate() {
-                let pr = priority(&v);
                 let id = sidecar
                     .as_ref()
                     .and_then(|sc| sc.ids.get(i).copied())
                     .unwrap_or(0);
-                queue.push(pr, (VisitMeta { id, enq_us: now }, v));
+                let meta = VisitMeta { id, enq_us: now };
+                // Receipt: under the keyed discipline the hook applies the
+                // visitor now, retiring it if it is already dominated.
+                let v = if keyed {
+                    match (hooks.receive)(v) {
+                        Some(v) => v,
+                        None => {
+                            let m = metrics.as_deref();
+                            record_drop(comm, phase, observing, m, &mut stats, meta);
+                            continue;
+                        }
+                    }
+                } else {
+                    v
+                };
+                enqueue(&mut queue, &mut stats, meta, v);
             }
         }
         // Sample the peak at drain time, before any visitor is popped:
@@ -560,37 +662,27 @@ where
         stats.peak_queue_len = stats.peak_queue_len.max(queue.len());
         stats.peak_queue_bytes = stats.peak_queue_bytes.max(queue.memory_bytes());
 
-        // Pop through the stale filter: entries the predicate marks as
-        // dominated die here without a visit (the decrease-key emulation
-        // of the bucketed/priority hot path). Their queue residency is
-        // recorded as StaleDropAgeUs so the latency histograms show how
-        // long dead relaxations sat in the queue.
-        let (popped, dropped) = queue.pop_stale_filtered(|(meta, v)| {
-            if !stale(v) {
+        // Pop through the stale filter (bucketed only): entries the
+        // predicate marks as dominated die here without a visit.
+        let (popped, _) = queue.pop_stale_filtered(|(meta, v)| {
+            if !(hooks.stale)(v) {
                 return false;
             }
-            // The drop is the message's terminal consumption: record it as
-            // a Visit lineage event with arg2 = 1 (stale) so the causality
-            // DAG stays covered — every spawn still meets its end — while
-            // analyzers can tell drops from real visits.
-            if lineage.enabled {
-                comm.trace_event2(TraceEventKind::Visit, chan.phase(), meta.id, 1);
-            }
-            if let Some(m) = metrics.as_deref() {
-                let now = lineage.now_us(comm);
-                m.record(MetricKind::StaleDropAgeUs, now.saturating_sub(meta.enq_us));
-            }
+            record_drop(
+                comm,
+                phase,
+                observing,
+                metrics.as_deref(),
+                &mut stats,
+                *meta,
+            );
             true
         });
-        stats.stale_dropped += dropped;
-        if dropped > 0 {
-            comm.telemetry_stale_drop(dropped);
-        }
         if let Some((meta, v)) = popped {
             debug_assert!(!idle, "queue cannot be non-empty while idle");
             let visit_start = lineage.now_us(comm);
             if lineage.enabled {
-                comm.trace_event2(TraceEventKind::Visit, chan.phase(), meta.id, 0);
+                comm.trace_event2(TraceEventKind::Visit, phase, meta.id, 0);
             }
             if let Some(m) = metrics.as_deref() {
                 m.record(
@@ -628,8 +720,7 @@ where
                 comm.trace_instant("queue_depth", queue.len() as u64);
             }
             for (nmeta, nv) in local_buf.drain(..) {
-                let pr = priority(&nv);
-                queue.push(pr, (nmeta, nv));
+                enqueue(&mut queue, &mut stats, nmeta, nv);
             }
             stats.peak_queue_len = stats.peak_queue_len.max(queue.len());
             stats.peak_queue_bytes = stats.peak_queue_bytes.max(queue.memory_bytes());

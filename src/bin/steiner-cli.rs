@@ -59,9 +59,9 @@ const USAGE: &str = "usage:
                        [--telemetry] [--monitor]
 
 --queue picks the visitor-queue discipline: `priority` (default) settles
-in Dijkstra order, `fifo` is the unordered baseline, `bucketed` is
-delta-stepping (cheap bucket pops instead of a binary heap, plus the
-same stale-relaxation filter as priority). `bucketed` / `bucketed:auto`
+in Dijkstra order with one queue entry per vertex (decrease-key), `fifo`
+is the unordered baseline, `bucketed` is delta-stepping (cheap bucket
+pops instead of a binary heap, dropping stale relaxations at pop time). `bucketed` / `bucketed:auto`
 derive the bucket width from the graph's mean edge weight;
 `bucketed:DELTA` pins it explicitly (DELTA >= 1).
 
